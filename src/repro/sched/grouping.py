@@ -17,15 +17,22 @@ Feasible groupings satisfy Const2 (hence Const1 and zero jitter).
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from repro.sched.streams import PeriodicStream
-from repro.sched.theory import theorem3_conditions
+from repro.sched.theory import _EPS, theorem3_conditions
+from repro.utils.mathx import _to_fraction
 
-#: Slack for float capacity comparisons.
-_EPS = 1e-9
+
+@lru_cache(maxsize=4096)
+def exact_period(period: float) -> tuple[int, int]:
+    """A period as a reduced (numerator, denominator), by ``is_harmonic``'s rule."""
+    f = _to_fraction(period)
+    return f.numerator, f.denominator
 
 
 class InfeasibleScheduleError(RuntimeError):
@@ -62,23 +69,77 @@ class GroupingResult:
 def divisor_priorities(streams: Sequence[PeriodicStream]) -> list[int]:
     """Priorities I_i over period-sorted streams (Algorithm 1, line 2).
 
-    Uses exact rational arithmetic: T_i mod T_j == 0 iff T_i / T_j is an
-    integer.  Input must already be sorted by period ascending.
+    ``I_i = Σ_{j<i} 1(T_i / T_j ∈ ℤ)``, exact, in O(M + U²): divisor
+    counts are taken over the U distinct periods and broadcast back;
+    equal earlier periods count too.  Input must be sorted by period.
     """
-    periods = [Fraction(s.period).limit_denominator(1_000_000) for s in streams]
-    out: list[int] = []
-    for i, ti in enumerate(periods):
-        count = 0
-        for tj in periods[:i]:
-            if (ti / tj).denominator == 1:
-                count += 1
-        out.append(count)
-    return out
+    exact = [exact_period(s.period) for s in streams]
+    counts = Counter(exact)
+    below = {
+        (a, b): sum(
+            n for (c, d), n in counts.items()
+            if c * b < a * d and (a * d) % (b * c) == 0
+        )
+        for a, b in counts
+    }
+    # equal periods are adjacent: count the earlier ones from the first
+    first: dict[tuple[int, int], int] = {}
+    return [below[u] + i - first.setdefault(u, i) for i, u in enumerate(exact)]
 
 
-def _fits(group: list[PeriodicStream], candidate: PeriodicStream) -> bool:
-    """Would the group still satisfy Theorem 3 with ``candidate`` added?"""
-    return theorem3_conditions([*group, candidate])
+class HarmonicGroup:
+    """One server group under Theorem 3: the library's one placement check.
+
+    Algorithm 1, ``exact_grouping`` and the serve planner all place
+    through it.  It holds its members (anything with ``period`` and
+    ``processing_time``), a count per distinct exact period, the running
+    Σp ``total_p`` and the minimum period ``pmin``.  :meth:`fits` tests
+    ``total_p + p <= pmin + ε`` on floats, then exact divisibility of
+    every distinct period by the new minimum.  :meth:`remove` subtracts
+    from the running sum, so after removals ``total_p`` may differ from a
+    fresh sum in the last bits.
+    """
+
+    __slots__ = ("members", "counts", "total_p", "pmin")
+
+    def __init__(self) -> None:
+        self.members: list = []
+        self.counts: dict[tuple[int, int], int] = {}  # exact period -> members
+        self.total_p = 0.0
+        self.pmin = math.inf
+
+    def fits(self, period: float, ptime: float) -> bool:
+        """Would Theorem 3 still hold with a member of this shape added?"""
+        pmin = min(self.pmin, period)
+        if self.total_p + ptime > pmin + _EPS:
+            return False
+        c, d = exact_period(pmin)
+        a, b = exact_period(period)
+        if (a * d) % (b * c):
+            return False
+        for a, b in self.counts:
+            if (a * d) % (b * c):
+                return False
+        return True
+
+    def add(self, member) -> None:
+        key = exact_period(member.period)
+        self.members.append(member)
+        self.counts[key] = self.counts.get(key, 0) + 1
+        self.total_p += member.processing_time
+        self.pmin = min(self.pmin, member.period)
+
+    def remove(self, member) -> None:
+        key = exact_period(member.period)
+        self.members.remove(member)
+        count = self.counts.pop(key) - 1
+        if count:
+            self.counts[key] = count
+        self.total_p -= member.processing_time
+        if not self.members:
+            self.total_p, self.pmin = 0.0, math.inf
+        elif member.period == self.pmin:
+            self.pmin = min(m.period for m in self.members)
 
 
 def group_streams(
@@ -114,22 +175,19 @@ def group_streams(
     order = sorted(range(len(by_period)), key=lambda i: prios[i])
     final = [by_period[i] for i in order]
 
-    groups: list[list[PeriodicStream]] = [[] for _ in range(n_servers)]
+    groups = [HarmonicGroup() for _ in range(n_servers)]
     for s in final:
-        placed = False
         for grp in groups:
-            if not grp or _fits(grp, s):
-                grp.append(s)
-                placed = True
+            if not grp.members or grp.fits(s.period, s.processing_time):
                 break
-        if not placed:
+        else:
             if strict:
                 raise InfeasibleScheduleError(
                     f"stream {s.stream_id} (T={s.period:.4f}s, p={s.processing_time:.4f}s) "
                     f"fits in none of {n_servers} groups"
                 )
             # Best effort: least-loaded group.
-            loads = [sum(x.load for x in g) for g in groups]
-            groups[loads.index(min(loads))].append(s)
+            grp = min(groups, key=lambda g: sum(x.load for x in g.members))
+        grp.add(s)
 
-    return GroupingResult(groups=groups)
+    return GroupingResult(groups=[grp.members for grp in groups])

@@ -23,10 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.sched.grouping import GroupingResult, InfeasibleScheduleError, _fits
+from repro.sched.grouping import GroupingResult, HarmonicGroup, InfeasibleScheduleError
 from repro.sched.streams import PeriodicStream
 from repro.sched.theory import theorem3_conditions
-from repro.utils import as_generator, check_array_1d, gcd_many
+from repro.utils import as_generator, check_array_1d
 from repro.utils.rng import RngLike
 
 
@@ -79,40 +79,42 @@ def exact_grouping(
     )
     best: tuple[float, list[list[PeriodicStream]]] | None = None
     nodes = 0
+    groups: list[HarmonicGroup] = []
 
-    def dfs(pos: int, groups: list[list[PeriodicStream]]) -> None:
+    def dfs(pos: int) -> None:
         nonlocal best, nodes
         nodes += 1
         if nodes > max_nodes:
             raise RuntimeError(f"search budget exceeded ({max_nodes} nodes)")
         if pos == len(streams):
-            cost = _comm_cost(groups, bw) if bw is not None else 0.0
+            members = [list(g.members) for g in groups]
+            cost = _comm_cost(members, bw) if bw is not None else 0.0
             if best is None or cost < best[0]:
-                best = (cost, [list(g) for g in groups])
+                best = (cost, members)
             return
         if best is not None and bw is None:
             return  # feasibility-only: first solution wins
         s = streams[order[pos]]
-        opened = len(groups)
-        for j in range(opened):
-            if _fits(groups[j], s):
-                groups[j].append(s)
-                dfs(pos + 1, groups)
-                groups[j].pop()
-        if opened < n_servers:
-            groups.append([s])
-            dfs(pos + 1, groups)
+        for g in list(groups):
+            if g.fits(s.period, s.processing_time):
+                g.add(s)
+                dfs(pos + 1)
+                g.remove(s)
+        if len(groups) < n_servers:
+            groups.append(HarmonicGroup())
+            groups[-1].add(s)
+            dfs(pos + 1)
             groups.pop()
 
-    dfs(0, [])
+    dfs(0)
     if best is None:
         raise InfeasibleScheduleError(
             f"no Const2-feasible grouping of {len(streams)} streams "
             f"on {n_servers} servers exists"
         )
-    groups = best[1]
-    groups.extend([] for _ in range(n_servers - len(groups)))
-    return GroupingResult(groups=groups)
+    found = best[1]
+    found.extend([] for _ in range(n_servers - len(found)))
+    return GroupingResult(groups=found)
 
 
 @dataclass

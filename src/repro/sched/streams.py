@@ -70,6 +70,14 @@ class PeriodicStream:
         return self.processing_time > self.period + 1e-12
 
 
+def split_factor(fps: float, processing_time: float) -> int:
+    """Sub-streams ``k = ⌈s·p⌉`` (each at ``fps / k``) a stream splits into;
+    1 unless high-rate.  Shared by batch splitting and the serve planner."""
+    if processing_time <= 1.0 / fps + 1e-12:
+        return 1
+    return math.ceil(fps * processing_time - 1e-12)
+
+
 def split_high_rate_streams(
     streams: list[PeriodicStream],
     *,
@@ -90,10 +98,7 @@ def split_high_rate_streams(
     next_id = id_start
     out: list[PeriodicStream] = []
     for s in streams:
-        if not s.is_high_rate:
-            out.append(s)
-            continue
-        k = math.ceil(s.fps * s.processing_time - 1e-12)
+        k = split_factor(s.fps, s.processing_time)
         if k < 2:
             out.append(s)
             continue

@@ -57,12 +57,7 @@ def const2_satisfied(
     streams: Sequence[PeriodicStream], assignment: Sequence[int]
 ) -> bool:
     """Eq. 7: on each server, Σ p_i ≤ gcd({T_i})."""
-    for grp in _groups(streams, assignment).values():
-        total_p = sum(s.processing_time for s in grp)
-        g = gcd_many([s.period for s in grp])
-        if total_p > g + _EPS:
-            return False
-    return True
+    return all(map(theorem1_zero_jitter, _groups(streams, assignment).values()))
 
 
 def theorem1_zero_jitter(group: Sequence[PeriodicStream]) -> bool:

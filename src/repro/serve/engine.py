@@ -2,14 +2,14 @@
 
 A batch optimizer answers "what is the best decision for this problem";
 the serve loop needs "how does the current decision change when one
-stream joins".  Re-running Algorithm 1 end to end per event is
-O(M²) in the divisor-priority pass alone — at M=1000 streams a single
-``EVAProblem.evaluate`` takes seconds, which no per-event path can
-afford.  :class:`IncrementalPlanner` instead *maintains* the schedule:
+stream joins".  Re-running Algorithm 1 end to end per event re-sorts
+and re-groups all M streams — no per-event path can afford that at
+M=1000.  :class:`IncrementalPlanner` instead *maintains* the schedule:
 
-* groups are live objects holding their distinct periods, total
-  processing time, and bit-rate, so the Theorem-3 admission check for
-  one sub-stream is O(distinct periods) ≈ O(1);
+* groups are live :class:`repro.sched.grouping.HarmonicGroup` cores
+  (the same Theorem-3 check Algorithm 1 places with) plus their
+  sub-streams and bit-rate, so the admission check for one sub-stream
+  is O(distinct periods) ≈ O(1);
 * per-stream outcome contributions (Eq. 2–4 terms) are kept as running
   sums, so the outcome vector after a delta costs O(sub-streams) for
   the latency term and O(1) for the rest;
@@ -26,7 +26,7 @@ which the engine/Algorithm-1 equivalence tests check with
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,13 +34,12 @@ from repro.core.problem import ConfigSpace, EVAProblem
 from repro.outcomes.functions import OutcomeFunctions
 from repro.pref.decision_maker import LinearL1Preference
 from repro.sched.assignment import solve_group_assignment
-from repro.sched.grouping import InfeasibleScheduleError
-from repro.sched.streams import PeriodicStream
+from repro.sched.grouping import HarmonicGroup, InfeasibleScheduleError
+from repro.sched.streams import PeriodicStream, split_factor
 
 __all__ = ["IncrementalPlanner", "approx_preference"]
 
-#: Slack for float capacity / integer-multiple comparisons (matches
-#: the tolerances in repro.sched).
+#: Floor on a stream's utilization in :meth:`IncrementalPlanner.eviction_scores`.
 _EPS = 1e-9
 
 #: Objectives where lower raw values are better (canonical order);
@@ -52,10 +51,10 @@ def approx_preference(problem: EVAProblem, weights=None) -> LinearL1Preference:
     """Eq. 13 preference with analytically-derived normalization bounds.
 
     :func:`repro.core.benefit.make_preference` evaluates the two corner
-    decisions through Algorithm 1, which is exact but O(M²) — minutes at
-    M=1000.  All five objectives are monotone in the uniform corner
-    configurations, so the bounds can be computed directly from the
-    outcome functions; only the latency term needs the server
+    decisions through the full batch scheduler, which is exact but
+    re-groups all M streams.  All five objectives are monotone in the
+    uniform corner configurations, so the bounds can be computed directly
+    from the outcome functions; only the latency term needs the server
     assignment, which is approximated with the mean uplink bandwidth.
     The resulting preference is deterministic and construction is O(M).
     """
@@ -98,97 +97,55 @@ def approx_preference(problem: EVAProblem, weights=None) -> LinearL1Preference:
     )
 
 
-def _period_key(period: float) -> float:
-    """Canonical dict key for a float period."""
-    return round(period, 12)
+class _Group(HarmonicGroup):
+    """A server group: the shared Theorem-3 core plus its bit-rate."""
 
-
-class _Group:
-    """One zero-jitter server group (Theorem-3 invariant holder)."""
-
-    __slots__ = ("subs", "periods", "total_p", "rate", "pmin")
+    __slots__ = ("rate",)
 
     def __init__(self) -> None:
-        self.subs: list[_Sub] = []
-        self.periods: dict[float, int] = {}  # period key -> sub count
-        self.total_p = 0.0
+        super().__init__()
         self.rate = 0.0  # Σ bits_per_frame · fps (bits/s)
-        self.pmin = math.inf
-
-    def fits(self, period: float, ptime: float) -> bool:
-        """Would Theorem 3 still hold with a sub of this shape added?"""
-        pmin = min(self.pmin, period)
-        if self.total_p + ptime > pmin + _EPS:
-            return False
-        for q in self.periods:
-            ratio = q / pmin
-            if abs(ratio - round(ratio)) > _EPS:
-                return False
-        ratio = period / pmin
-        return abs(ratio - round(ratio)) <= _EPS
 
     def add(self, sub: "_Sub") -> None:
-        key = _period_key(sub.period)
-        self.subs.append(sub)
-        self.periods[key] = self.periods.get(key, 0) + 1
-        self.total_p += sub.ptime
+        super().add(sub)
         self.rate += sub.rate
-        self.pmin = min(self.pmin, sub.period)
         sub.group = self
 
     def remove(self, sub: "_Sub") -> None:
-        key = _period_key(sub.period)
-        self.subs.remove(sub)
-        count = self.periods[key] - 1
-        if count:
-            self.periods[key] = count
-        else:
-            del self.periods[key]
-        self.total_p -= sub.ptime
-        self.rate -= sub.rate
-        if not self.subs:
-            self.total_p = 0.0
-            self.rate = 0.0
-            self.pmin = math.inf
-        elif _period_key(sub.period) == _period_key(self.pmin):
-            self.pmin = min(s.period for s in self.subs)
+        super().remove(sub)
+        self.rate = self.rate - sub.rate if self.members else 0.0
         sub.group = None
 
 
 class _Sub:
     """One (possibly split) sub-stream as placed in a group."""
 
-    __slots__ = ("owner", "period", "ptime", "bits", "rate", "group")
+    __slots__ = ("owner", "period", "processing_time", "bits", "rate", "group")
 
     def __init__(self, owner: int, period: float, ptime: float, bits: float) -> None:
         self.owner = owner
         self.period = period
-        self.ptime = ptime
+        self.processing_time = ptime
         self.bits = bits  # textured encoded bits per frame
         self.rate = bits / period  # bits/s
         self.group: _Group | None = None
 
 
+@dataclass(slots=True, eq=False)
 class _Entry:
-    """Per-stream decision cache entry: config plus outcome contributions."""
+    """Per-stream config plus outcome contributions (zero until placed)."""
 
-    __slots__ = ("sid", "texture", "resolution", "fps", "acc", "net", "com",
-                 "eng", "ptime", "bits", "subs")
-
-    def __init__(self, sid: int, texture: float, resolution: float, fps: float,
-                 acc: float, net: float, com: float, eng: float,
-                 ptime: float, bits: float) -> None:
-        self.sid = sid
-        self.texture = texture
-        self.resolution = resolution
-        self.fps = fps
-        self.acc = acc
-        self.net = net
-        self.com = com
-        self.eng = eng
-        self.ptime = ptime
-        self.bits = bits
-        self.subs: list[_Sub] = []
+    sid: int
+    texture: float
+    resolution: float = 0.0
+    fps: float = 0.0
+    acc: float = 0.0
+    net: float = 0.0
+    com: float = 0.0
+    eng: float = 0.0
+    ptime: float = 0.0
+    bits: float = 0.0
+    subs: list[_Sub] = field(default_factory=list)
 
 
 class IncrementalPlanner:
@@ -338,11 +295,11 @@ class IncrementalPlanner:
             key=lambda i: (self.groups[i].total_p, i),
         )
         group = self.groups.pop(victim)
-        affected = sorted({sub.owner for sub in group.subs})
+        affected = sorted({sub.owner for sub in group.members})
         if priority_of is not None:
             affected.sort(key=lambda sid: (-priority_of(sid), sid))
         # Detach the dissolved group's subs; their owners re-place fully.
-        for sub in list(group.subs):
+        for sub in list(group.members):
             group.remove(sub)
         min_r = min(self.config_space.resolutions)
         min_s = min(self.config_space.fps_values)
@@ -367,40 +324,26 @@ class IncrementalPlanner:
         return stats
 
     # -- stream mutations --------------------------------------------------
-    def _make_subs(self, sid: int, texture: float, r: float, s: float
-                   ) -> tuple[list[_Sub], float, float]:
-        """Split a (r, s) stream into its placeable subs (plus ptime, bits)."""
-        ptime = self.outcomes.profile.processing_time(r)
-        bits = self.outcomes.encoder.bits_per_frame(r, texture=texture)
-        k = 1
-        if ptime > 1.0 / s + 1e-12:
-            k = max(1, math.ceil(s * ptime - 1e-12))
-        sub_fps = s / k if k >= 2 else s
-        period = 1.0 / sub_fps
-        return (
-            [_Sub(sid, period, ptime, bits) for _ in range(max(k, 1))],
-            ptime,
-            bits,
-        )
-
     def _try_place(self, subs: list[_Sub]) -> bool:
         """First-fit each sub into the groups; all-or-nothing."""
-        placed: list[_Sub] = []
         for sub in subs:
             for group in self.groups:
-                if group.fits(sub.period, sub.ptime):
+                if group.fits(sub.period, sub.processing_time):
                     group.add(sub)
-                    placed.append(sub)
                     break
             else:
-                for p in placed:
-                    p.group.remove(p)
+                for p in subs:
+                    if p.group is not None:
+                        p.group.remove(p)
                 return False
         return True
 
     def _place_entry(self, entry: _Entry, r: float, s: float) -> bool:
-        """(Re)place an already-registered entry at config (r, s)."""
-        subs, ptime, bits = self._make_subs(entry.sid, entry.texture, r, s)
+        """(Re)place an entry at config (r, s), split into ⌈s·p⌉ subs."""
+        ptime = self.outcomes.profile.processing_time(r)
+        bits = self.outcomes.encoder.bits_per_frame(r, texture=entry.texture)
+        k = split_factor(s, ptime)
+        subs = [_Sub(entry.sid, 1.0 / (s / k), ptime, bits) for _ in range(k)]
         if not self._try_place(subs):
             return False
         self._sub_sums(entry, -1.0)
@@ -438,17 +381,10 @@ class IncrementalPlanner:
         """Admit a stream at config (r, s); False (state unchanged) if unfit."""
         if sid in self.entries:
             raise ValueError(f"stream {sid} already admitted")
-        subs, ptime, bits = self._make_subs(sid, texture, r, s)
-        if not self._try_place(subs):
+        entry = _Entry(sid, float(texture))
+        if not self._place_entry(entry, r, s):
             return False
-        cand = self._candidate_for(r, s)
-        entry = _Entry(
-            sid, float(texture), float(r), float(s),
-            cand["acc"], cand["net"], cand["com"], cand["eng"], ptime, bits,
-        )
-        entry.subs = subs
         self.entries[sid] = entry
-        self._sub_sums(entry, 1.0)
         return True
 
     def remove_stream(self, sid: int) -> bool:
@@ -735,7 +671,7 @@ class IncrementalPlanner:
                         stream_id=next_id,
                         fps=1.0 / sub.period,
                         resolution=entry.resolution,
-                        processing_time=sub.ptime,
+                        processing_time=sub.processing_time,
                         bits_per_frame=sub.bits,
                         parent_id=sid,
                     )

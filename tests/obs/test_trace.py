@@ -1,6 +1,7 @@
 """Tests for trace reconstruction and Chrome trace export."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -16,7 +17,10 @@ from repro.obs.trace import (
 )
 
 
-def _traced_arm(x):
+def _traced_arm(x, barrier=None):
+    if barrier is not None:
+        # arms sharing a barrier block until each has its own worker
+        barrier.wait(timeout=60)
     with telemetry.span("arm"):
         with telemetry.span("inner"):
             telemetry.counter("arm.calls")
@@ -89,10 +93,12 @@ class TestCrossProcessTrace:
         telemetry.reset()
         telemetry.enable(log)
         try:
-            with telemetry.span("sweep"):
-                out = run_parallel(
-                    _traced_arm, [(i,) for i in range(3)], n_workers=2
-                )
+            with multiprocessing.Manager() as manager:
+                # arms 0 and 1 rendezvous, so two workers must run them
+                barrier = manager.Barrier(2)
+                args = [(0, barrier), (1, barrier), (2, None)]
+                with telemetry.span("sweep"):
+                    out = run_parallel(_traced_arm, args, n_workers=2)
             telemetry.emit_summary()
             parent_trace = telemetry.trace_id
         finally:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.problem import EVAProblem
+from repro.sched.grouping import HarmonicGroup
 from repro.sched.theory import const2_satisfied
 from repro.serve import IncrementalPlanner, approx_preference
 
@@ -63,6 +64,24 @@ class TestSolveAll:
         assert a.decision_arrays()[1].tolist() == b.decision_arrays()[1].tolist()
         assert a.decision_arrays()[2].tolist() == b.decision_arrays()[2].tolist()
         assert a.stream_assignment() == b.stream_assignment()
+
+
+class TestSharedWithBatch:
+    def test_groups_are_the_shared_theorem3_core(self):
+        planner = _planner(_problem())
+        assert all(isinstance(g, HarmonicGroup) for g in planner.groups)
+
+    def test_subs_split_like_the_batch_path(self):
+        # enough servers that every split sub-stream gets its own group
+        problem = _problem(n_streams=1, n_servers=16)
+        planner = _planner(problem)
+        texture = float(problem.textures[0])
+        for r, s in problem.config_space.all_configs():
+            assert planner.add_stream(0, texture, r, s)
+            subs = planner.entries[0].subs
+            batch = problem.make_streams([r], [s])
+            assert [sub.period for sub in subs] == [b.period for b in batch]
+            assert planner.remove_stream(0)
 
 
 class TestMutations:
