@@ -42,14 +42,14 @@ def test_pricing_rule_scheduling(benchmark):
                 return float(pref.value(y))
 
             pamo = PaMO(
-                problem, DecisionMaker(pref, rng=seed), rng=seed, **FAST_PAMO_KWARGS
+                problem, decision_maker=DecisionMaker(pref, rng=seed), rng=seed, **FAST_PAMO_KWARGS
             ).optimize()
             plus = PaMOPlus(
-                problem, DecisionMaker(pref, rng=seed), rng=seed, **FAST_PAMO_KWARGS
+                problem, decision_maker=DecisionMaker(pref, rng=seed), rng=seed, **FAST_PAMO_KWARGS
             ).optimize()
             jcab = JCAB(problem, rng=seed).optimize()
             fact = FACT(problem).optimize()
-            weighted = WeightedSumScheduler(problem, "equal", rng=seed).optimize()
+            weighted = WeightedSumScheduler(problem, rule="equal", rng=seed).optimize()
 
             for name, val in (
                 ("PaMO", score(pamo.decision)),

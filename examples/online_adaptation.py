@@ -8,8 +8,8 @@ paper's §1 motivating example) runs through three operating phases:
 2. an uplink degradation (weather) triples transmission latency;
 3. recovery.
 
-The :class:`~repro.core.OnlineScheduler` detects the sustained deviation
-and re-optimizes, while a fire-and-forget scheduler would keep paying
+:meth:`~repro.serve.SchedulerService.run_epochs` detects the sustained
+deviation and re-optimizes, while a fire-and-forget scheduler would keep paying
 the degraded latency.
 
 Run:  python examples/online_adaptation.py
@@ -19,7 +19,8 @@ import numpy as np
 
 from repro.baselines import RandomSearch
 from repro.bench.reporting import format_table
-from repro.core import DriftDetector, EVAProblem, OnlineScheduler, make_preference
+from repro.core import DriftDetector, EVAProblem, make_preference
+from repro.serve import SchedulerService, approx_preference
 
 
 def main() -> None:
@@ -39,19 +40,22 @@ def main() -> None:
     # Scheduler factory: after drift, re-optimize against the *current*
     # conditions (a production system would re-profile; here the factory
     # peeks at the phase for brevity).
-    phase = {"degraded": False}
 
     def factory(prob, epoch):
         active = degraded_problem if 3 <= epoch <= 6 else problem
         return RandomSearch(active, benefit_fn=pref.value, n_iterations=60, rng=epoch)
 
-    online = OnlineScheduler(
+    online = SchedulerService(
         problem,
-        factory,
+        preference=approx_preference(problem),
+        scheduler_factory=factory,
+        reuse_scheduler=False,
+    )
+    log = online.run_epochs(
+        10,
         environment=environment,
         detector=DriftDetector(rel_threshold=0.5, patience=2),
     )
-    log = online.run(10)
 
     rows = [
         [
@@ -70,7 +74,7 @@ def main() -> None:
             title="Online monitoring log (uplink degraded during epochs 3-6)",
         )
     )
-    print(f"\nre-optimizations triggered: {online.n_reoptimizations}")
+    print(f"\nre-optimizations triggered: {sum(r.reoptimized for r in log)}")
     print(
         "The drift detector waits out single-epoch noise (patience=2) and "
         "re-plans only on sustained deviation; the post-recovery deviation "

@@ -7,12 +7,12 @@ The top level re-exports the pieces a downstream user needs first: the
 EVA problem definition and the PaMO scheduler, the decision-maker /
 preference layer, and the benefit utilities.  Substrates (simulator,
 scheduling theory, GP library, video/detection workloads, baselines,
-MOO toolkit) live in their subpackages:
+scalarization rules) live in their subpackages:
 
 >>> from repro import EVAProblem, PaMO, make_preference, DecisionMaker
 >>> problem = EVAProblem(n_streams=4, bandwidths_mbps=[10, 20])
 >>> pref = make_preference(problem)
->>> result = PaMO(problem, DecisionMaker(pref, rng=0), rng=0).optimize()
+>>> result = PaMO(problem, decision_maker=DecisionMaker(pref, rng=0), rng=0).optimize()
 """
 
 from repro._version import __version__
@@ -20,7 +20,6 @@ from repro.core import (
     ConfigSpace,
     DriftDetector,
     EVAProblem,
-    OnlineScheduler,
     OptimizationOutcome,
     PaMO,
     PaMOPlus,
@@ -35,7 +34,6 @@ __all__ = [
     "ConfigSpace",
     "DriftDetector",
     "EVAProblem",
-    "OnlineScheduler",
     "OptimizationOutcome",
     "PaMO",
     "PaMOPlus",

@@ -26,7 +26,6 @@ from repro.core.result import OptimizationOutcome, ScheduleDecision
 from repro.core.scheduler import SchedulerMixin
 from repro.obs import telemetry
 from repro.utils import check_positive
-from repro.utils.compat import resolve_deprecated
 from repro.utils.rng import RngLike
 
 
@@ -39,8 +38,7 @@ class FACT(SchedulerMixin):
         Objective weights: minimize ``w_ltc·ltc̄ + w_acc·(1 − acc)``
         with latency max-normalized across the knob range.
     n_iterations:
-        BCD sweep budget (typically converges in 2–4); ``max_sweeps``
-        is the deprecated alias.
+        BCD sweep budget (typically converges in 2–4).
     rng:
         Accepted for cross-scheduler API consistency; FACT itself is
         deterministic and never draws from it.
@@ -54,15 +52,10 @@ class FACT(SchedulerMixin):
         *,
         w_ltc: float = 1.0,
         w_acc: float = 1.0,
-        n_iterations: int | None = None,
-        max_sweeps: int | None = None,
+        n_iterations: int = 10,
         tol: float = 0.0,
         rng: RngLike = None,
     ) -> None:
-        n_iterations = resolve_deprecated(
-            "FACT", "max_sweeps", max_sweeps, "n_iterations", n_iterations,
-            default=10,
-        )
         self.problem = problem
         self.w_ltc = check_positive("w_ltc", w_ltc, strict=False)
         self.w_acc = check_positive("w_acc", w_acc, strict=False)
@@ -117,11 +110,6 @@ class FACT(SchedulerMixin):
             assignment[i] = j_best
             util[j_best] += load
         return assignment
-
-    @property
-    def max_sweeps(self) -> int:
-        """Deprecated alias of :attr:`n_iterations`."""
-        return self.n_iterations
 
     def optimize(self) -> OptimizationOutcome:
         """Run BCD sweeps to quiescence; returns the final decision."""

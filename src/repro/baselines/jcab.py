@@ -27,7 +27,6 @@ from repro.core.result import OptimizationOutcome, ScheduleDecision
 from repro.core.scheduler import SchedulerMixin
 from repro.obs import telemetry
 from repro.utils import as_generator, check_positive
-from repro.utils.compat import resolve_deprecated
 from repro.utils.rng import RngLike
 
 
@@ -43,8 +42,7 @@ class JCAB(SchedulerMixin):
     v:
         Lyapunov trade-off parameter V (penalty vs queue drift).
     n_iterations:
-        Time slots to iterate (the online algorithm run to quiescence);
-        ``n_slots`` is the deprecated alias.
+        Time slots to iterate (the online algorithm run to quiescence).
     """
 
     method_name = "JCAB"
@@ -56,14 +54,10 @@ class JCAB(SchedulerMixin):
         w_acc: float = 1.0,
         w_eng: float = 1.0,
         v: float = 1.0,
-        n_iterations: int | None = None,
-        n_slots: int | None = None,
+        n_iterations: int = 40,
         tol: float = 0.0,
         rng: RngLike = None,
     ) -> None:
-        n_iterations = resolve_deprecated(
-            "JCAB", "n_slots", n_slots, "n_iterations", n_iterations, default=40
-        )
         self.problem = problem
         self.w_acc = check_positive("w_acc", w_acc, strict=False)
         self.w_eng = check_positive("w_eng", w_eng, strict=False)
@@ -106,11 +100,6 @@ class JCAB(SchedulerMixin):
                 util[j] += ld
                 assignment.append(j)
         return assignment
-
-    @property
-    def n_slots(self) -> int:
-        """Deprecated alias of :attr:`n_iterations`."""
-        return self.n_iterations
 
     def optimize(self) -> OptimizationOutcome:
         """Run the Lyapunov slot loop; returns the final decision."""

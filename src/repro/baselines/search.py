@@ -21,7 +21,6 @@ from repro.core.result import OptimizationOutcome, ScheduleDecision
 from repro.core.scheduler import SchedulerMixin
 from repro.obs import telemetry
 from repro.utils import as_generator, check_array_2d
-from repro.utils.compat import absorb_positional, resolve_deprecated
 from repro.utils.rng import RngLike
 
 
@@ -60,7 +59,7 @@ class RandomSearch(SchedulerMixin):
     """Best-of-N random knob decisions under a benefit function.
 
     Keyword-only after ``problem``; ``n_iterations`` is the sample
-    budget (``n_samples`` is the deprecated alias).
+    budget.
     """
 
     method_name = "RandomSearch"
@@ -68,35 +67,17 @@ class RandomSearch(SchedulerMixin):
     def __init__(
         self,
         problem: EVAProblem,
-        *args,
-        benefit_fn: Callable[[np.ndarray], float] | None = None,
-        n_iterations: int | None = None,
-        n_samples: int | None = None,
+        *,
+        benefit_fn: Callable[[np.ndarray], float],
+        n_iterations: int = 100,
         rng: RngLike = None,
     ) -> None:
-        shim = absorb_positional(
-            "RandomSearch", args, ("benefit_fn",), {"benefit_fn": benefit_fn}
-        )
-        benefit_fn = shim["benefit_fn"]
-        if benefit_fn is None:
-            raise TypeError(
-                "RandomSearch() missing required keyword argument 'benefit_fn'"
-            )
-        n_iterations = resolve_deprecated(
-            "RandomSearch", "n_samples", n_samples, "n_iterations", n_iterations,
-            default=100,
-        )
         if n_iterations < 1:
             raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
         self.problem = problem
         self.benefit_fn = benefit_fn
         self.n_iterations = int(n_iterations)
         self._rng = as_generator(rng)
-
-    @property
-    def n_samples(self) -> int:
-        """Deprecated alias of :attr:`n_iterations`."""
-        return self.n_iterations
 
     def optimize(self) -> OptimizationOutcome:
         """Sample-and-keep-best over ``n_iterations`` random decisions."""

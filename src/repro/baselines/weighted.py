@@ -29,7 +29,6 @@ from repro.obs import telemetry
 from repro.outcomes.functions import OBJECTIVES
 from repro.moo.scalarize import weighted_chebyshev, weighted_sum
 from repro.utils import as_generator
-from repro.utils.compat import absorb_positional
 from repro.utils.rng import RngLike
 
 #: objective orientation: flip accuracy so everything is minimized
@@ -39,8 +38,7 @@ _FLIP = np.array([1.0, -1.0, 1.0, 1.0, 1.0])
 class WeightedSumScheduler(SchedulerMixin):
     """Best-of-pool scheduler under a fixed classical weighting.
 
-    Keyword-only after ``problem`` (legacy positional ``rule`` still
-    works with a :class:`DeprecationWarning`).
+    Keyword-only after ``problem``.
 
     Parameters
     ----------
@@ -63,17 +61,13 @@ class WeightedSumScheduler(SchedulerMixin):
     def __init__(
         self,
         problem: EVAProblem,
-        *args,
-        rule: str | Sequence[float] | None = None,
+        *,
+        rule: str | Sequence[float] = "equal",
         ranks: Sequence[int] | None = None,
         scalarization: str = "sum",
         n_candidates: int = 60,
         rng: RngLike = None,
     ) -> None:
-        shim = absorb_positional(
-            "WeightedSumScheduler", args, ("rule",), {"rule": rule}
-        )
-        rule = shim["rule"] if shim["rule"] is not None else "equal"
         self.problem = problem
         self._rng = as_generator(rng)
         self.n_candidates = int(n_candidates)

@@ -1,48 +1,24 @@
-"""Online operation: periodic monitoring and re-optimization (legacy).
+"""Drift detection for the periodic monitoring loop.
 
 §2.1: "The scheduler periodically collects performance and resource
 information ... According to these real-time data, the scheduler
 adjusts configuration and scheduling decisions."
 
-This module predates :mod:`repro.serve`, which is now the home of the
-online loop.  :class:`DriftDetector` and :class:`EpochRecord` remain
-canonical here — the serve loop uses the detector as one of its event
-sources — but :class:`OnlineScheduler` is a thin compatibility shim
-over :meth:`repro.serve.service.SchedulerService.run_epochs` and warns
-``DeprecationWarning`` on construction.  Migration (see the README
-table):
-
-=============================== =======================================
-Legacy                          Serve equivalent
-=============================== =======================================
-``OnlineScheduler(p, f).run(n)``  ``SchedulerService(p, preference=...,
-                                  scheduler_factory=f,
-                                  reuse_scheduler=False)
-                                  .run_epochs(n, environment=...)``
-``EpochRecord``                 ``repro.serve.service.ServeEpochTick``
-``DriftDetector``               unchanged (pass to ``run_epochs``)
-=============================== =======================================
-
-The shim preserves the historical semantics exactly: epochs are
-numbered ``0..n-1`` per ``run()`` call, the scheduler is re-instantiated
-fresh on every deploy, records land in ``history`` *after* a drift
-redeploy with the pre-deploy expected/observed pair, and the default
-environment replays the decision through the measured simulator.
+:class:`DriftDetector` decides when observed outcomes have strayed far
+enough from the deployed decision's predictions to warrant a full
+re-solve.  The loop that feeds it is
+:meth:`repro.serve.service.SchedulerService.run_epochs`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from repro.core.problem import EVAProblem
-from repro.core.result import ScheduleDecision
 from repro.utils import check_positive
 
-__all__ = ["DriftDetector", "EpochRecord", "OnlineScheduler"]
+__all__ = ["DriftDetector"]
 
 
 @dataclass
@@ -84,104 +60,3 @@ class DriftDetector:
     def reset(self) -> None:
         """Clear accumulated strikes (after a redeploy)."""
         self._strikes = 0
-
-
-@dataclass
-class EpochRecord:
-    """One monitoring epoch."""
-
-    epoch: int
-    expected: np.ndarray
-    observed: np.ndarray
-    deviation: float
-    reoptimized: bool
-
-
-class OnlineScheduler:
-    """Monitor → detect drift → re-optimize loop (deprecated shim).
-
-    Deprecated: use :class:`repro.serve.service.SchedulerService` — its
-    :meth:`~repro.serve.service.SchedulerService.run_epochs` is this
-    loop, and its event interface subsumes it.  This class remains as a
-    compatible front over the serve implementation.
-
-    Parameters
-    ----------
-    problem:
-        The (current) EVA problem.
-    make_scheduler:
-        ``make_scheduler(problem, epoch) -> scheduler`` with an
-        ``optimize()`` returning an object whose ``.decision`` is a
-        :class:`ScheduleDecision` (PaMO, PaMOPlus, baselines...).
-    environment:
-        ``environment(decision, epoch) -> (5,) observed outcome``; the
-        real system.  Defaults to the problem's measured evaluation.
-    detector:
-        Drift detector instance.
-    """
-
-    def __init__(
-        self,
-        problem: EVAProblem,
-        make_scheduler: Callable[[EVAProblem, int], object],
-        *,
-        environment: Callable[[ScheduleDecision, int], np.ndarray] | None = None,
-        detector: DriftDetector | None = None,
-    ) -> None:
-        warnings.warn(
-            "OnlineScheduler is deprecated; use "
-            "repro.serve.SchedulerService (run_epochs for this loop, "
-            "run for the event-driven serve loop)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.problem = problem
-        self.make_scheduler = make_scheduler
-        self.environment = environment or self._default_environment
-        self.detector = detector or DriftDetector()
-        self.history: list[EpochRecord] = []
-        self.n_reoptimizations = 0
-        self._service = None
-
-    @property
-    def decision(self) -> ScheduleDecision | None:
-        """The currently deployed decision (None before the first run)."""
-        return None if self._service is None else self._service.last_decision
-
-    def _default_environment(self, decision: ScheduleDecision, epoch: int) -> np.ndarray:
-        return self.problem.evaluate_measured(decision.resolutions, decision.fps)
-
-    def _ensure_service(self):
-        if self._service is None:
-            from repro.serve.engine import approx_preference
-            from repro.serve.service import SchedulerService
-
-            self._service = SchedulerService(
-                self.problem,
-                preference=approx_preference(self.problem),
-                scheduler_factory=self.make_scheduler,
-                reuse_scheduler=False,
-            )
-        # Track in-place rebinding of .problem (legacy behavior let
-        # callers swap the problem between run() calls).
-        self._service.problem = self.problem
-        return self._service
-
-    def run(self, n_epochs: int) -> list[EpochRecord]:
-        """Run the monitoring loop for ``n_epochs``; returns the log."""
-        service = self._ensure_service()
-        ticks = service.run_epochs(
-            n_epochs, environment=self.environment, detector=self.detector
-        )
-        self.n_reoptimizations += sum(1 for t in ticks if t.reoptimized)
-        self.history.extend(
-            EpochRecord(
-                epoch=t.epoch,
-                expected=t.expected,
-                observed=t.observed,
-                deviation=t.deviation,
-                reoptimized=t.reoptimized,
-            )
-            for t in ticks
-        )
-        return self.history

@@ -15,7 +15,6 @@ Provides exactly the models the paper builds on:
 from repro.gp import cache
 from repro.gp.cache import CholeskyCache, chol_cache
 from repro.gp.kernels import Kernel, RBFKernel, Matern52Kernel, Matern32Kernel
-from repro.gp.composite import SumKernel, ProductKernel
 from repro.gp.regression import GPRegressor
 from repro.gp.preference import PreferenceGP, ComparisonData, cross_validate_preference
 from repro.gp.sampling import sample_mvn, sample_posterior
@@ -28,8 +27,6 @@ __all__ = [
     "RBFKernel",
     "Matern52Kernel",
     "Matern32Kernel",
-    "SumKernel",
-    "ProductKernel",
     "GPRegressor",
     "PreferenceGP",
     "ComparisonData",

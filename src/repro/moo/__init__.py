@@ -1,32 +1,15 @@
-"""Multi-objective optimization substrate.
+"""Multi-objective scalarization.
 
-§2.3/§6 ground PaMO in classical MOO: Pareto dominance, a priori
-weighting rules, and evolutionary front generation.  This package
-provides the classical toolkit the paper contrasts itself against:
-
-* :mod:`repro.moo.nsga2` — a from-scratch NSGA-II (fast non-dominated
-  sorting + crowding distance) over the discrete EVA decision space,
-  generating whole Pareto fronts;
-* :mod:`repro.moo.indicators` — hypervolume (WFG-style recursive
-  inclusion-exclusion for small k, sweep for k=2), generational
-  distance, and spread, for comparing front quality;
-* :mod:`repro.moo.scalarize` — scalarization rules (weighted sum,
-  weighted Chebyshev, achievement function) used by the fixed-weight
-  baselines of §1.
+§2.3/§6 ground PaMO in classical MOO and its a priori weighting rules.
+:mod:`repro.moo.scalarize` holds the scalarization rules (weighted sum,
+weighted Chebyshev, achievement function) used by the fixed-weight
+baselines of §1.  Pareto filtering lives in
+:func:`repro.baselines.search.pareto_front`.
 """
 
-from repro.moo.nsga2 import NSGA2, NSGA2Result, fast_non_dominated_sort, crowding_distance
-from repro.moo.indicators import hypervolume, generational_distance, spread
 from repro.moo.scalarize import weighted_sum, weighted_chebyshev, achievement
 
 __all__ = [
-    "NSGA2",
-    "NSGA2Result",
-    "fast_non_dominated_sort",
-    "crowding_distance",
-    "hypervolume",
-    "generational_distance",
-    "spread",
     "weighted_sum",
     "weighted_chebyshev",
     "achievement",

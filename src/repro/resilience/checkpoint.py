@@ -26,8 +26,9 @@ from typing import Any
 
 from repro.obs import telemetry
 
-#: Bump when the checkpoint payload layout changes.
-CHECKPOINT_VERSION = 1
+#: Bump when the checkpoint payload layout changes.  :func:`load_checkpoint`
+#: refuses every other version, so unpickling never migrates an old layout.
+CHECKPOINT_VERSION = 2
 
 
 @dataclass

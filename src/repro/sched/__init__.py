@@ -36,12 +36,6 @@ from repro.sched.solvers import (
     AnnealedScheduler,
     AnnealResult,
 )
-from repro.sched.virtualization import (
-    PhysicalServer,
-    VirtualSlot,
-    VirtualCluster,
-    virtualize,
-)
 
 __all__ = [
     "PeriodicStream",
@@ -67,8 +61,4 @@ __all__ = [
     "exact_grouping",
     "AnnealedScheduler",
     "AnnealResult",
-    "PhysicalServer",
-    "VirtualSlot",
-    "VirtualCluster",
-    "virtualize",
 ]

@@ -166,16 +166,6 @@ class _WindowStats:
         """Rolling mean benefit over the window (None before any score)."""
         return self.benefit_sum / self.benefit_n if self.benefit_n else None
 
-    @classmethod
-    def from_entries(
-        cls, entries: Iterable[tuple], maxlen: int = DECISION_WINDOW
-    ) -> "_WindowStats":
-        """Rebuild from raw entry tuples (pre-refactor checkpoints)."""
-        window = cls(maxlen)
-        for entry in entries:
-            window.push(*entry)
-        return window
-
 
 def _get_cache_hit_ratio(svc, w: _WindowStats) -> float:
     total = w.hits + w.solved
@@ -362,8 +352,10 @@ class ServeDecision:
 class ServeEpochTick:
     """One monitoring epoch of :meth:`SchedulerService.run_epochs`.
 
-    Field-compatible with :class:`repro.core.online.EpochRecord` so the
-    legacy ``OnlineScheduler`` shim converts trivially.
+    ``expected`` is the deployed decision's predicted outcome,
+    ``observed`` what the environment reported, ``deviation`` the
+    detector's max relative gap between them, and ``reoptimized``
+    whether this epoch's drift triggered a full solve.
     """
 
     epoch: int
@@ -420,8 +412,8 @@ class SchedulerService:
     reuse_scheduler:
         Keep one scheduler across full solves and :meth:`~repro.core.
         scheduler.Scheduler.replan` it (warm starts).  ``False``
-        re-instantiates per solve — the legacy ``OnlineScheduler``
-        contract.
+        builds a fresh scheduler from ``scheduler_factory`` for every
+        solve.
     admission:
         :class:`~repro.serve.admission.AdmissionController` deciding
         joins.  The default controller admits exactly what the bare
@@ -1271,7 +1263,7 @@ class SchedulerService:
             "recent_alerts": self.alerts[-10:],
         }
 
-    # -- monitoring loop (legacy OnlineScheduler semantics) ----------------
+    # -- fixed-epoch monitoring loop ---------------------------------------
     def run_epochs(
         self,
         n_epochs: int,
@@ -1283,14 +1275,14 @@ class SchedulerService:
 
         The environment maps the deployed decision to an observed
         outcome vector; the detector flags sustained deviation; a drift
-        triggers a full solve (a fresh scheduler when
-        ``reuse_scheduler=False`` — the legacy contract).  Epochs are
-        numbered 0..n-1 per call, matching the old loop exactly.
+        triggers a full solve (with a fresh scheduler when
+        ``reuse_scheduler=False``).  Epochs are numbered 0..n-1 per
+        call.  The first call deploys a warm-up solve.
 
         Deploys here go through :meth:`_deploy_batch`, not the
         incremental planner: the monitoring loop redeploys the batch
-        decision verbatim (the legacy contract keeps every stream even
-        when the engine's first-fit embedding would degrade some).
+        decision verbatim, keeping every stream even when the engine's
+        first-fit embedding would degrade some.
         """
         if n_epochs < 1:
             raise ValueError(f"n_epochs must be >= 1, got {n_epochs}")
@@ -1406,36 +1398,9 @@ class SchedulerService:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # Checkpoints written before live observability existed.
-        self.__dict__.setdefault("metrics", None)
-        self.__dict__.setdefault("monitor", None)
-        self.__dict__.setdefault("alerts", [])
-        # ... and before overload hardening existed.
-        self.__dict__.setdefault("admission", AdmissionController())
-        self.__dict__.setdefault("breaker", None)
-        self.__dict__.setdefault("remediation", None)
-        self.__dict__.setdefault("mode", "normal")
-        self.__dict__.setdefault("_brownout_reasons", set())
-        self.__dict__.setdefault("_shed_reasons", set())
-        self.__dict__.setdefault("wal", None)
-        self.__dict__.setdefault("wal_seq", 0)
-        self.__dict__.setdefault("_forced_modes", {})
-        self.__dict__.setdefault("_stop", False)
-        self.__dict__.setdefault("_ckpt_path", None)
-        self.__dict__.setdefault("_mhandles", None)
-        self.__dict__.setdefault("_mcounts", None)
-        self.__dict__.setdefault("_mflushed", {})
-        self.__dict__.setdefault("_mpending", [])
-        self.__dict__.setdefault("_mpending_done", 0)
-        self.__dict__["_slo_probe"] = (
+        self._slo_probe = (
             None if self.monitor is None else self._build_slo_probe(self.monitor)
         )
-        window = self.__dict__.get("_window")
-        if window is None:
-            self.__dict__["_window"] = _WindowStats(DECISION_WINDOW)
-        elif not isinstance(window, _WindowStats):
-            # Pre-refactor checkpoints stored a deque of entry tuples.
-            self.__dict__["_window"] = _WindowStats.from_entries(window)
 
     # -- summary -----------------------------------------------------------
     def summary(self) -> dict:

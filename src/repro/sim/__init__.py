@@ -16,12 +16,6 @@ from repro.sim.network import UplinkLink
 from repro.sim.cluster import EdgeCluster, StreamSpec
 from repro.sim.metrics import StreamMetrics, ServerMetrics, SimulationReport
 from repro.sim.runner import simulate_schedule
-from repro.sim.trace import (
-    BandwidthTrace,
-    TracedUplinkLink,
-    FrameEvent,
-    FrameTraceRecorder,
-)
 
 __all__ = [
     "Event",
@@ -34,8 +28,4 @@ __all__ = [
     "ServerMetrics",
     "SimulationReport",
     "simulate_schedule",
-    "BandwidthTrace",
-    "TracedUplinkLink",
-    "FrameEvent",
-    "FrameTraceRecorder",
 ]

@@ -52,7 +52,7 @@ class TestJCAB:
         assert greedy.decision.outcome[1] >= frugal.decision.outcome[1]
 
     def test_history_length(self, problem):
-        out = JCAB(problem, n_slots=7, rng=0).optimize()
+        out = JCAB(problem, n_iterations=7, rng=0).optimize()
         assert len(out.history) == 7
 
     def test_invalid_v(self, problem):
@@ -76,7 +76,7 @@ class TestFACT:
         assert acc_heavy.decision.outcome[1] >= lat_heavy.decision.outcome[1]
 
     def test_bcd_converges(self, problem):
-        out = FACT(problem, max_sweeps=10).optimize()
+        out = FACT(problem, n_iterations=10).optimize()
         assert out.converged
         assert out.n_iterations <= 10
 

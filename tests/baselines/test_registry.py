@@ -1,5 +1,6 @@
 """Tests for the scheduler registry and Scheduler protocol."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -14,7 +15,8 @@ from repro.baselines import (
 from repro.baselines.registry import _REGISTRY
 from repro.core import PaMO, PaMOPlus, Scheduler, make_preference
 from repro.bench.harness import make_problem
-from repro.pref import DecisionMaker
+from repro.bo.loop import BOLoop
+from repro.pref import DecisionMaker, PreferenceLearner
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +111,38 @@ class TestSchedulerProtocol:
         assert make_scheduler(
             "pamo", problem, preference=pref, rng=0
         ).name == "PaMO"
+
+
+def _loop(**kw):
+    return BOLoop(None, observe=None, benefit_of=None, candidates=None, **kw)
+
+
+#: Every constructor spelling dropped in v2.0: positional required
+#: arguments and the renamed iteration-budget keywords.
+REMOVED_SPELLINGS = {
+    "PaMO positional decision_maker": lambda p, dm: PaMO(p, dm),
+    "PaMOPlus positional decision_maker": lambda p, dm: PaMOPlus(p, dm),
+    "PaMO max_iters": lambda p, dm: PaMO(p, decision_maker=dm, max_iters=3),
+    "PreferenceLearner positional decision_maker": lambda p, dm: (
+        PreferenceLearner(np.eye(5), dm)
+    ),
+    "RandomSearch positional benefit_fn": lambda p, dm: RandomSearch(
+        p, dm.preference.value
+    ),
+    "RandomSearch n_samples": lambda p, dm: RandomSearch(
+        p, benefit_fn=dm.preference.value, n_samples=5
+    ),
+    "WeightedSumScheduler positional rule": lambda p, dm: WeightedSumScheduler(
+        p, "equal"
+    ),
+    "BOLoop max_iters": lambda p, dm: _loop(max_iters=3),
+    "JCAB n_slots": lambda p, dm: JCAB(p, n_slots=7),
+    "FACT max_sweeps": lambda p, dm: FACT(p, max_sweeps=3),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(REMOVED_SPELLINGS))
+def test_removed_spelling_raises_type_error(problem, pref, spelling):
+    dm = DecisionMaker(pref, rng=0)
+    with pytest.raises(TypeError):
+        REMOVED_SPELLINGS[spelling](problem, dm)

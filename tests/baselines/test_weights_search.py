@@ -100,20 +100,20 @@ class TestRandomSearch:
     def test_improves_with_more_samples(self):
         problem = EVAProblem(n_streams=3, bandwidths_mbps=[10.0, 20.0])
         pref = make_preference(problem)
-        z5 = RandomSearch(problem, pref.value, n_samples=5, rng=0).optimize()
-        z50 = RandomSearch(problem, pref.value, n_samples=50, rng=0).optimize()
+        z5 = RandomSearch(problem, benefit_fn=pref.value, n_iterations=5, rng=0).optimize()
+        z50 = RandomSearch(problem, benefit_fn=pref.value, n_iterations=50, rng=0).optimize()
         assert z50.true_benefit >= z5.true_benefit
 
     def test_history_monotone(self):
         problem = EVAProblem(n_streams=2, bandwidths_mbps=[10.0])
         pref = make_preference(problem)
-        out = RandomSearch(problem, pref.value, n_samples=20, rng=1).optimize()
+        out = RandomSearch(problem, benefit_fn=pref.value, n_iterations=20, rng=1).optimize()
         assert all(a <= b for a, b in zip(out.history, out.history[1:]))
 
     def test_invalid_n(self):
         problem = EVAProblem(n_streams=2, bandwidths_mbps=[10.0])
         with pytest.raises(ValueError):
-            RandomSearch(problem, lambda y: 0.0, n_samples=0)
+            RandomSearch(problem, benefit_fn=lambda y: 0.0, n_iterations=0)
 
 
 class TestExhaustiveBest:
@@ -124,7 +124,7 @@ class TestExhaustiveBest:
         )
         pref = make_preference(problem)
         oracle = exhaustive_best(problem, pref.value)
-        rs = RandomSearch(problem, pref.value, n_samples=10, rng=0).optimize()
+        rs = RandomSearch(problem, benefit_fn=pref.value, n_iterations=10, rng=0).optimize()
         assert oracle.benefit >= rs.true_benefit - 1e-12
 
     def test_space_too_large_raises(self):

@@ -36,7 +36,7 @@ class GPAdapter:
         self.n_updates += 1
 
 
-def _make_loop(seed=0, acquisition=None, delta=0.01, max_iters=8, batch_size=2):
+def _make_loop(seed=0, acquisition=None, delta=0.01, n_iterations=8, batch_size=2):
     gen = np.random.default_rng(seed)
     x0 = gen.uniform(0, 1, (5, 1))
     z0 = _true_benefit(x0)
@@ -49,7 +49,7 @@ def _make_loop(seed=0, acquisition=None, delta=0.01, max_iters=8, batch_size=2):
         acquisition=acquisition or QNEI(n_samples=64),
         batch_size=batch_size,
         delta=delta,
-        max_iters=max_iters,
+        n_iterations=n_iterations,
         rng=seed,
     )
     return adapter, loop, x0, z0
@@ -57,7 +57,7 @@ def _make_loop(seed=0, acquisition=None, delta=0.01, max_iters=8, batch_size=2):
 
 class TestBOLoop:
     def test_finds_near_optimum(self):
-        adapter, loop, x0, z0 = _make_loop(seed=1, max_iters=10)
+        adapter, loop, x0, z0 = _make_loop(seed=1, n_iterations=10)
         res = loop.run(initial_x=x0, initial_z=z0)
         assert res.best_z > 0.9  # true max ~1.05
         assert abs(res.best_x[0] - 0.7) < 0.15
@@ -68,29 +68,29 @@ class TestBOLoop:
         assert res.best_z >= float(np.max(z0))
 
     def test_adapter_updated_each_iteration(self):
-        adapter, loop, x0, z0 = _make_loop(seed=0, max_iters=3, delta=1e-9)
+        adapter, loop, x0, z0 = _make_loop(seed=0, n_iterations=3, delta=1e-9)
         res = loop.run(initial_x=x0, initial_z=z0)
         assert adapter.n_updates == res.n_iterations
 
     def test_convergence_flag_with_loose_delta(self):
-        adapter, loop, x0, z0 = _make_loop(seed=0, delta=5.0, max_iters=10)
+        adapter, loop, x0, z0 = _make_loop(seed=0, delta=5.0, n_iterations=10)
         res = loop.run(initial_x=x0, initial_z=z0)
         assert res.converged
         assert res.n_iterations <= 2
 
     def test_max_iters_respected(self):
-        adapter, loop, x0, z0 = _make_loop(seed=0, delta=1e-12, max_iters=3)
+        adapter, loop, x0, z0 = _make_loop(seed=0, delta=1e-12, n_iterations=3)
         res = loop.run(initial_x=x0, initial_z=z0)
         assert res.n_iterations == 3
         assert not res.converged
 
     def test_history_recorded(self):
-        adapter, loop, x0, z0 = _make_loop(seed=0, max_iters=4, delta=1e-12)
+        adapter, loop, x0, z0 = _make_loop(seed=0, n_iterations=4, delta=1e-12)
         res = loop.run(initial_x=x0, initial_z=z0)
         assert len(res.history_z) == res.n_iterations
 
     def test_runs_without_warm_start(self):
-        adapter, loop, _, _ = _make_loop(seed=3, max_iters=4)
+        adapter, loop, _, _ = _make_loop(seed=3, n_iterations=4)
         res = loop.run()
         assert np.isfinite(res.best_z)
 

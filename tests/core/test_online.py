@@ -1,10 +1,11 @@
-"""Tests for the online monitoring / re-optimization loop."""
+"""Tests for drift detection and the monitoring / re-optimization loop."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import RandomSearch
-from repro.core import DriftDetector, EVAProblem, OnlineScheduler, make_preference
+from repro.core import DriftDetector, EVAProblem, make_preference
+from repro.serve import SchedulerService, approx_preference
 
 
 @pytest.fixture
@@ -16,7 +17,7 @@ def _make_scheduler_factory(problem):
     pref = make_preference(problem)
 
     def factory(prob, epoch):
-        return RandomSearch(prob, pref.value, n_samples=10, rng=epoch)
+        return RandomSearch(prob, benefit_fn=pref.value, n_iterations=10, rng=epoch)
 
     return factory
 
@@ -58,16 +59,24 @@ class TestDriftDetector:
             DriftDetector(patience=0)
 
 
+def _service(problem):
+    return SchedulerService(
+        problem,
+        preference=approx_preference(problem),
+        scheduler_factory=_make_scheduler_factory(problem),
+        reuse_scheduler=False,
+    )
+
+
 class TestOnlineScheduler:
+    """The monitoring loop: ``SchedulerService.run_epochs``."""
+
     def test_stable_environment_never_reoptimizes(self, problem):
-        sched = OnlineScheduler(
-            problem,
-            _make_scheduler_factory(problem),
-            environment=lambda d, e: d.outcome,  # exactly as expected
-        )
-        log = sched.run(5)
+        log = _service(problem).run_epochs(
+            5, environment=lambda d, e: d.outcome, detector=DriftDetector()
+        )  # exactly as expected
         assert len(log) == 5
-        assert sched.n_reoptimizations == 0
+        assert sum(r.reoptimized for r in log) == 0
         assert all(not r.reoptimized for r in log)
 
     def test_drift_triggers_reoptimization(self, problem):
@@ -78,42 +87,38 @@ class TestOnlineScheduler:
                 y[0] *= 3.0
             return y
 
-        sched = OnlineScheduler(
-            problem,
-            _make_scheduler_factory(problem),
+        log = _service(problem).run_epochs(
+            6,
             environment=environment,
             detector=DriftDetector(rel_threshold=0.5, patience=2),
         )
-        log = sched.run(6)
-        assert sched.n_reoptimizations >= 1
+        assert sum(r.reoptimized for r in log) >= 1
         assert any(r.reoptimized for r in log)
 
     def test_history_records_deviations(self, problem):
-        sched = OnlineScheduler(
-            problem,
-            _make_scheduler_factory(problem),
-            environment=lambda d, e: d.outcome * 1.1,
+        log = _service(problem).run_epochs(
+            3, environment=lambda d, e: d.outcome * 1.1, detector=DriftDetector()
         )
-        log = sched.run(3)
         for r in log:
             assert r.deviation == pytest.approx(0.1, abs=1e-9)
 
     def test_default_environment_runs_simulator(self, problem):
-        sched = OnlineScheduler(problem, _make_scheduler_factory(problem))
-        log = sched.run(1)
+        def measured(decision, epoch):
+            return problem.evaluate_measured(decision.resolutions, decision.fps)
+
+        log = _service(problem).run_epochs(
+            1, environment=measured, detector=DriftDetector()
+        )
         assert np.all(np.isfinite(log[0].observed))
 
     def test_invalid_epochs(self, problem):
-        sched = OnlineScheduler(problem, _make_scheduler_factory(problem))
         with pytest.raises(ValueError):
-            sched.run(0)
+            _service(problem).run_epochs(0, environment=lambda d, e: d.outcome)
 
     def test_decision_available_after_run(self, problem):
-        sched = OnlineScheduler(
-            problem,
-            _make_scheduler_factory(problem),
-            environment=lambda d, e: d.outcome,
+        service = _service(problem)
+        service.run_epochs(
+            1, environment=lambda d, e: d.outcome, detector=DriftDetector()
         )
-        sched.run(1)
-        assert sched.decision is not None
-        assert sched.decision.resolutions.shape == (3,)
+        assert service.last_decision is not None
+        assert service.last_decision.resolutions.shape == (3,)

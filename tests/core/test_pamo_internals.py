@@ -14,8 +14,8 @@ def setup():
     pref = make_preference(problem)
     dm = DecisionMaker(pref, rng=0)
     pamo = PaMO(
-        problem, dm, n_profile=30, n_outcome_space=15, n_pref_queries=5,
-        batch_size=2, max_iters=2, n_pool=10, rng=0,
+        problem, decision_maker=dm, n_profile=30, n_outcome_space=15, n_pref_queries=5,
+        batch_size=2, n_iterations=2, n_pool=10, rng=0,
     )
     pamo.fit_outcome_models()
     pamo.fit_preference_model()

@@ -1,98 +1,13 @@
-"""Tests for hypervolume/GD/spread and scalarization rules."""
+"""Tests for the scalarization rules."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.moo import (
     achievement,
-    generational_distance,
-    hypervolume,
-    spread,
     weighted_chebyshev,
     weighted_sum,
 )
-
-
-class TestHypervolume:
-    def test_single_point_2d(self):
-        hv = hypervolume(np.array([[1.0, 1.0]]), [3.0, 3.0])
-        assert hv == pytest.approx(4.0)
-
-    def test_two_disjoint_boxes_2d(self):
-        front = np.array([[1.0, 2.0], [2.0, 1.0]])
-        # boxes: (3-1)(3-2)=2 and (3-2)(3-1)=2, overlap (3-2)(3-2)=1
-        assert hypervolume(front, [3.0, 3.0]) == pytest.approx(3.0)
-
-    def test_dominated_point_ignored(self):
-        front = np.array([[1.0, 1.0], [2.0, 2.0]])
-        assert hypervolume(front, [3.0, 3.0]) == pytest.approx(4.0)
-
-    def test_point_outside_reference_ignored(self):
-        front = np.array([[5.0, 5.0]])
-        assert hypervolume(front, [3.0, 3.0]) == 0.0
-
-    def test_3d_single_point(self):
-        hv = hypervolume(np.array([[0.0, 0.0, 0.0]]), [1.0, 2.0, 3.0])
-        assert hv == pytest.approx(6.0)
-
-    def test_3d_two_points(self):
-        front = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-        ref = [2.0, 2.0, 2.0]
-        # vol A = 2*1*1 = 2; vol B = 1*2*2 = 4; overlap = 1*1*1 = 1
-        assert hypervolume(front, ref) == pytest.approx(5.0)
-
-    def test_monotone_in_front_size(self):
-        a = np.array([[1.0, 2.0]])
-        b = np.array([[1.0, 2.0], [2.0, 1.0]])
-        ref = [3.0, 3.0]
-        assert hypervolume(b, ref) >= hypervolume(a, ref)
-
-    @given(
-        st.lists(
-            st.tuples(st.floats(0, 0.9), st.floats(0, 0.9), st.floats(0, 0.9)),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_property_3d_matches_monte_carlo(self, pts):
-        front = np.array(pts, dtype=float)
-        ref = np.array([1.0, 1.0, 1.0])
-        exact = hypervolume(front, ref)
-        gen = np.random.default_rng(0)
-        samples = gen.random((20000, 3))
-        dominated = np.any(
-            np.all(samples[:, None, :] >= front[None, :, :], axis=2), axis=1
-        )
-        mc = dominated.mean()
-        assert exact == pytest.approx(mc, abs=0.02)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            hypervolume(np.zeros((1, 2)), [1.0, 1.0, 1.0])
-
-
-class TestGDAndSpread:
-    def test_gd_zero_on_subset(self):
-        truth = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert generational_distance(truth[:1], truth) == 0.0
-
-    def test_gd_positive_off_front(self):
-        truth = np.array([[0.0, 0.0]])
-        assert generational_distance(np.array([[3.0, 4.0]]), truth) == pytest.approx(5.0)
-
-    def test_spread_even_spacing_zero(self):
-        front = np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
-        assert spread(front) == pytest.approx(0.0, abs=1e-12)
-
-    def test_spread_clumped_positive(self):
-        front = np.array([[0.0, 0.0], [0.01, 0.0], [5.0, 0.0]])
-        assert spread(front) > 0.5
-
-    def test_spread_tiny_front(self):
-        assert spread(np.array([[0.0, 1.0], [1.0, 0.0]])) == 0.0
 
 
 class TestScalarization:

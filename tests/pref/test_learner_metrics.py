@@ -17,7 +17,7 @@ def _setup(seed=0, n_outcomes=30, noise=0.0):
         hi=np.ones(5),
     )
     dm = DecisionMaker(pref, noise_scale=noise, rng=seed)
-    learner = PreferenceLearner(space, dm, rng=seed)
+    learner = PreferenceLearner(space, decision_maker=dm, rng=seed)
     return space, pref, dm, learner
 
 
@@ -81,7 +81,7 @@ class TestPreferenceLearner:
     def test_small_space_raises(self):
         _, pref, dm, _ = _setup()
         with pytest.raises(ValueError):
-            PreferenceLearner(np.zeros((1, 5)), dm)
+            PreferenceLearner(np.zeros((1, 5)), decision_maker=dm)
 
     def test_uncertainty_decreases_with_data(self):
         space, _, _, learner = _setup(seed=3)

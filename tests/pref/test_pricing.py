@@ -134,7 +134,7 @@ class TestPricingPreference:
             [problem.evaluate(*problem.sample_decision(gen)) for _ in range(35)]
         )
         dm = DecisionMaker(pref, rng=0)
-        learner = PreferenceLearner(ys, dm, rng=0).initialize(3).run(15)
+        learner = PreferenceLearner(ys, decision_maker=dm, rng=0).initialize(3).run(15)
         pairs = sample_test_pairs(ys, 200, rng=1)
         acc = pairwise_accuracy(learner.utility, pref.value, pairs)
         assert acc > 0.75, f"pricing-rule pairwise accuracy {acc:.3f}"

@@ -11,13 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gp import (
-    Matern32Kernel,
-    Matern52Kernel,
-    ProductKernel,
-    RBFKernel,
-    SumKernel,
-)
+from repro.gp import Matern32Kernel, Matern52Kernel, RBFKernel
 
 KERNELS = (RBFKernel, Matern32Kernel, Matern52Kernel)
 
@@ -33,17 +27,6 @@ def kernel_and_inputs(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     x = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(n, d))
     return cls(ell, scale), x
-
-
-@st.composite
-def composite_kernel_and_inputs(draw):
-    """Sum/product composition of two base kernels plus inputs."""
-    comp = draw(st.sampled_from((SumKernel, ProductKernel)))
-    k1, x = draw(kernel_and_inputs())
-    d = x.shape[1]
-    cls2 = draw(st.sampled_from(KERNELS))
-    ell2 = np.array([draw(st.floats(0.05, 3.0)) for _ in range(d)])
-    return comp(k1, cls2(ell2, draw(st.floats(0.1, 5.0)))), x
 
 
 class TestKernelMatrixProperties:
@@ -86,14 +69,3 @@ class TestKernelMatrixProperties:
         k = kernel(x) + 1e-6 * np.eye(x.shape[0])
         ell = np.linalg.cholesky(k)
         np.testing.assert_allclose(ell @ ell.T, k, rtol=0, atol=1e-10)
-
-
-class TestCompositeKernelProperties:
-    @given(composite_kernel_and_inputs())
-    @settings(max_examples=40, deadline=None)
-    def test_symmetric_and_psd(self, kx):
-        kernel, x = kx
-        k = kernel(x)
-        np.testing.assert_allclose(k, k.T, rtol=0, atol=1e-12)
-        eigvals = np.linalg.eigvalsh(k)
-        assert eigvals.min() >= -1e-8 * max(1.0, eigvals.max())

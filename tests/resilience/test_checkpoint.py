@@ -42,13 +42,13 @@ class TestSaveLoad:
         assert ckpt.meta["method"] == "pamo"
         assert ckpt.iteration == 4
 
-    def test_rejects_foreign_version(self, tmp_path):
+    # 1 is the format written before the v2.0 layout; the other is a
+    # checkpoint from a newer build.
+    @pytest.mark.parametrize("version", [1, CHECKPOINT_VERSION + 1])
+    def test_rejects_foreign_version(self, tmp_path, version):
         path = tmp_path / "old.ckpt"
         with path.open("wb") as fh:
-            pickle.dump(
-                {"version": CHECKPOINT_VERSION + 1, "scheduler": 0, "bo_state": 0},
-                fh,
-            )
+            pickle.dump({"version": version, "scheduler": 0, "bo_state": 0}, fh)
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 

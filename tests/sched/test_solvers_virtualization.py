@@ -1,6 +1,5 @@
-"""Tests for exact/annealed schedulers and server virtualization."""
+"""Tests for the exact and annealed schedulers."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,13 +8,10 @@ from repro.sched import (
     AnnealedScheduler,
     InfeasibleScheduleError,
     PeriodicStream,
-    PhysicalServer,
     const2_satisfied,
     exact_grouping,
     group_streams,
-    virtualize,
 )
-from repro.video.profiles import DeviceProfile
 
 
 def _stream(sid, fps, p, bits=1e5):
@@ -131,85 +127,3 @@ class TestAnnealedScheduler:
         streams = [_stream(i, 10, 0.09) for i in range(4)]
         res = AnnealedScheduler(rng=0, n_iters=800).solve(streams, [10.0])
         assert not res.feasible
-
-
-class TestVirtualization:
-    def test_slot_counts_by_capacity(self):
-        base = DeviceProfile(effective_tflops=6.0)
-        servers = [
-            PhysicalServer("big", tflops=18.0, bandwidth_mbps=30.0),
-            PhysicalServer("small", tflops=6.0, bandwidth_mbps=10.0),
-        ]
-        vc = virtualize(servers, base_profile=base)
-        assert len(vc.slots_of("big")) == 3
-        assert len(vc.slots_of("small")) == 1
-        assert vc.n_slots == 4
-
-    def test_bandwidth_split_evenly(self):
-        base = DeviceProfile(effective_tflops=6.0)
-        vc = virtualize(
-            [PhysicalServer("big", tflops=12.0, bandwidth_mbps=20.0)],
-            base_profile=base,
-        )
-        np.testing.assert_allclose(vc.bandwidths_mbps, [10.0, 10.0])
-
-    def test_undersized_server_gets_one_slot(self):
-        base = DeviceProfile(effective_tflops=6.0)
-        vc = virtualize(
-            [PhysicalServer("tiny", tflops=4.0, bandwidth_mbps=10.0)],
-            base_profile=base,
-        )
-        assert vc.n_slots == 1
-
-    def test_too_small_server_skipped(self):
-        base = DeviceProfile(effective_tflops=6.0)
-        servers = [
-            PhysicalServer("dust", tflops=1.0, bandwidth_mbps=10.0),
-            PhysicalServer("ok", tflops=6.0, bandwidth_mbps=10.0),
-        ]
-        vc = virtualize(servers, base_profile=base)
-        assert vc.slots_of("dust") == []
-        assert vc.n_slots == 1
-
-    def test_all_too_small_raises(self):
-        base = DeviceProfile(effective_tflops=6.0)
-        with pytest.raises(ValueError):
-            virtualize(
-                [PhysicalServer("dust", tflops=0.5, bandwidth_mbps=10.0)],
-                base_profile=base,
-            )
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            virtualize([])
-
-    def test_mapping_roundtrip(self):
-        base = DeviceProfile(effective_tflops=6.0)
-        vc = virtualize(
-            [
-                PhysicalServer("a", tflops=12.0, bandwidth_mbps=20.0),
-                PhysicalServer("b", tflops=6.0, bandwidth_mbps=30.0),
-            ],
-            base_profile=base,
-        )
-        for slot in vc.slots:
-            assert slot.slot_id in vc.slots_of(slot.physical)
-            assert vc.physical_of(slot.slot_id) == slot.physical
-
-    def test_virtual_cluster_drives_eva_problem(self):
-        """End to end: heterogeneous hardware → EVAProblem via slots."""
-        from repro.core import EVAProblem
-
-        base = DeviceProfile(effective_tflops=6.0)
-        vc = virtualize(
-            [
-                PhysicalServer("jetson-agx", tflops=12.0, bandwidth_mbps=30.0),
-                PhysicalServer("jetson-nx", tflops=6.0, bandwidth_mbps=15.0),
-            ],
-            base_profile=base,
-        )
-        problem = EVAProblem(
-            n_streams=3, bandwidths_mbps=vc.bandwidths_mbps, profile=vc.profile
-        )
-        y = problem.evaluate(*problem.sample_decision(rng=0))
-        assert np.all(np.isfinite(y))

@@ -87,8 +87,8 @@ class TestPaMODecisionQuality:
         pref = make_preference(problem)
         dm = DecisionMaker(pref, rng=0)
         out = PaMO(
-            problem, dm, n_profile=30, n_outcome_space=15, n_pref_queries=6,
-            batch_size=2, max_iters=4, n_pool=10, rng=0,
+            problem, decision_maker=dm, n_profile=30, n_outcome_space=15, n_pref_queries=6,
+            batch_size=2, n_iterations=4, n_pool=10, rng=0,
         ).optimize()
         d = out.decision
         assert problem.is_feasible(d.resolutions, d.fps)
@@ -101,8 +101,8 @@ class TestPaMODecisionQuality:
         pref = make_preference(problem, weights=[1, 2, 1, 0.5, 1.5])
         dm = DecisionMaker(pref, rng=1)
         pamo = PaMO(
-            problem, dm, n_profile=30, n_outcome_space=20, n_pref_queries=12,
-            batch_size=2, max_iters=3, n_pool=10, rng=1,
+            problem, decision_maker=dm, n_profile=30, n_outcome_space=20, n_pref_queries=12,
+            batch_size=2, n_iterations=3, n_pool=10, rng=1,
         )
         pamo.optimize()
         gen = np.random.default_rng(5)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.bo import eubo_closed_form
 from repro.core import ConfigSpace, EVAProblem, make_preference
 from repro.gp import GPRegressor
-from repro.moo import hypervolume
 from repro.utils import normalize_minmax
 
 
@@ -59,42 +58,6 @@ class TestGPProperties:
         _, v_small = gp_small.predict(probe)
         _, v_big = gp_big.predict(probe)
         assert v_big[0] <= v_small[0] + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Hypervolume: monotone under adding points; invariant to duplicates.
-# ---------------------------------------------------------------------------
-class TestHypervolumeProperties:
-    @given(
-        st.lists(
-            st.tuples(st.floats(0, 0.9), st.floats(0, 0.9)),
-            min_size=1,
-            max_size=10,
-        ),
-        st.tuples(st.floats(0, 0.9), st.floats(0, 0.9)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_adding_point_never_decreases(self, pts, extra):
-        front = np.array(pts, dtype=float)
-        ref = np.array([1.0, 1.0])
-        hv1 = hypervolume(front, ref)
-        hv2 = hypervolume(np.vstack([front, np.array(extra)]), ref)
-        assert hv2 >= hv1 - 1e-12
-
-    @given(
-        st.lists(
-            st.tuples(st.floats(0, 0.9), st.floats(0, 0.9)),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_duplicates_do_not_change_volume(self, pts):
-        front = np.array(pts, dtype=float)
-        ref = np.array([1.0, 1.0])
-        assert hypervolume(np.vstack([front, front]), ref) == pytest.approx(
-            hypervolume(front, ref)
-        )
 
 
 # ---------------------------------------------------------------------------
