@@ -11,9 +11,11 @@ instrumentation cost stays under 2% of its wall-clock.
 The second bench applies the same budget to the live metrics layer:
 during a churn-heavy serve run with a registry and health monitor
 attached, the entire per-epoch observability step
-(``SchedulerService._observe`` — counters, gauges, the latency
-histogram, SLO evaluation) must cost under 2% of the run, and one
-``/metrics`` scrape render is timed for the EXPERIMENTS log.
+(``SchedulerService._observe`` — SLO evaluation only; the counters,
+gauges and latency histogram are filled from the service's lifetime
+tally at scrape time) must cost under 2% of the run, and one
+``/metrics`` scrape render (which now includes that fill) is timed for
+the EXPERIMENTS log.
 """
 
 import time

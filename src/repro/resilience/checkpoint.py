@@ -28,7 +28,7 @@ from repro.obs import telemetry
 
 #: Bump when the checkpoint payload layout changes.  :func:`load_checkpoint`
 #: refuses every other version, so unpickling never migrates an old layout.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass

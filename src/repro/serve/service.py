@@ -62,6 +62,7 @@ import numpy as np
 from repro.core.problem import EVAProblem
 from repro.core.result import ScheduleDecision
 from repro.obs import telemetry
+from repro.obs.metrics import percentile
 from repro.pref.decision_maker import LinearL1Preference
 from repro.sched.grouping import InfeasibleScheduleError
 from repro.serve.admission import AdmissionController
@@ -85,24 +86,73 @@ __all__ = [
 #: epochs, so a scrape mid-run and a post-hoc report agree.
 DECISION_WINDOW = 512
 
-#: Instrument keys mirrored as monotone counters, and how many latency
-#: samples may sit in the scrape-time flush buffer before the serve
-#: thread flushes inline (bounds memory on scraper-less runs).
-_COUNTER_KEYS = (
-    "epochs", "full_solves", "cache_hits", "solved", "rejects", "evictions",
-    "shed",
+#: ``/metrics`` counter name, the :class:`_Tally` field it mirrors, help.
+_METRIC_COUNTERS = (
+    ("serve_epochs_total", "epochs", "epoch decisions made"),
+    ("serve_full_solves_total", "full_solves", "full re-solves"),
+    ("serve_cache_hits_total", "cache_hits", "cached stream decisions"),
+    ("serve_solved_total", "solved", "re-solved stream decisions"),
+    ("serve_admission_rejects_total", "rejected", "rejected joins"),
+    ("serve_evictions_total", "evicted", "evicted streams"),
+    ("serve_sheds_total", "shed", "joins shed by admission control"),
 )
-_FLUSH_EVERY = 4096
+
+#: ``/metrics`` gauge name, the :meth:`SchedulerService.health_snapshot`
+#: key it shows, help.
+_METRIC_GAUGES = (
+    ("serve_streams", "n_streams", "admitted streams"),
+    ("serve_alive_servers", "n_alive_servers", "servers up"),
+    ("serve_queue_depth", "queue_depth", "events waiting in the queue"),
+    ("serve_cache_hit_ratio", "cache_hit_ratio", "windowed cached/(cached+solved)"),
+    ("serve_benefit", "benefit", "current total system benefit"),
+    ("serve_benefit_baseline", "benefit_baseline", "rolling mean benefit (window)"),
+    (
+        "serve_benefit_drop_ratio",
+        "benefit_drop_ratio",
+        "relative drop of current benefit vs rolling baseline",
+    ),
+    ("serve_mode", "mode_brownout", "operating mode (0=normal, 1=brownout)"),
+    (
+        "serve_breaker_state",
+        "breaker_state",
+        "circuit breaker (0=closed, 1=half_open, 2=open)",
+    ),
+)
 
 
-def _pct(ordered: list[float], q: float) -> float:
-    """Linear-interpolated percentile of a pre-sorted list (0 if empty)."""
-    if not ordered:
-        return 0.0
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] * (1 - (pos - lo)) + ordered[hi] * (pos - lo)
+@dataclass
+class _Tally:
+    """Lifetime per-epoch counts — THE record of what the service did.
+
+    Updated once per recorded decision (next to the window push in
+    :meth:`SchedulerService._emit_decision`) and pickled with the
+    service.  :meth:`SchedulerService.summary` reads it in O(1) however
+    long the run, and the ``serve_*_total`` counters mirror it at scrape
+    time, so ``/varz`` and ``/metrics`` report the same lifetime totals,
+    across a resume too.
+    """
+
+    epochs: int = 0
+    full_solves: int = 0
+    cache_hits: int = 0
+    solved: int = 0
+    rejected: int = 0
+    evicted: int = 0
+    shed: int = 0
+    brownout_epochs: int = 0
+    benefit_first: float | None = None
+
+    def add(self, d: "ServeDecision") -> None:
+        self.epochs += 1
+        self.full_solves += bool(d.full_solve)
+        self.cache_hits += d.cache_hits
+        self.solved += d.solved
+        self.rejected += len(d.rejected)
+        self.evicted += len(d.evicted)
+        self.shed += len(d.shed)
+        self.brownout_epochs += d.mode == "brownout"
+        if self.benefit_first is None:
+            self.benefit_first = d.benefit
 
 
 class _WindowStats:
@@ -187,9 +237,9 @@ def _get_benefit_drop(svc, w: _WindowStats) -> float | None:
 _SLO_GETTERS: dict[str, Callable] = {
     "epoch": lambda svc, w: svc.epoch,
     "window": lambda svc, w: len(w.entries),
-    "decision_p50_s": lambda svc, w: _pct(w.lat_sorted, 0.50),
-    "decision_p95_s": lambda svc, w: _pct(w.lat_sorted, 0.95),
-    "decision_p99_s": lambda svc, w: _pct(w.lat_sorted, 0.99),
+    "decision_p50_s": lambda svc, w: percentile(w.lat_sorted, 0.50),
+    "decision_p95_s": lambda svc, w: percentile(w.lat_sorted, 0.95),
+    "decision_p99_s": lambda svc, w: percentile(w.lat_sorted, 0.99),
     "decision_max_s": lambda svc, w: w.lat_sorted[-1] if w.lat_sorted else 0.0,
     "cache_hit_ratio": _get_cache_hit_ratio,
     "queue_depth": lambda svc, w: len(svc.queue),
@@ -485,22 +535,20 @@ class SchedulerService:
         # of reusing the constructor's problem object.
         self._topology_dirty = False
         # Rolling per-epoch stats (latency, benefit, hits, solved,
-        # full) — the bounded window behind summary()/health_snapshot().
+        # full) — the bounded window behind summary()/health_snapshot() —
+        # and the lifetime totals behind summary() and /metrics.
         self._window = _WindowStats(DECISION_WINDOW)
+        self._tally = _Tally()
         # Live observability (attach_observability): a MetricsRegistry
         # mirror and a HealthMonitor driving /healthz + alert events.
         self.metrics = None
         self.monitor = None
         self.alerts: list[dict] = []
         self._mhandles: dict | None = None
+        # How many decisions the registry's latency histogram holds:
+        # set on attach, advanced by the scrape-time hook.
+        self._mcursor = 0
         self._slo_probe: Callable[[], dict] | None = None
-        # Counter deltas accumulate in plain ints per epoch and flush
-        # into the registry at scrape time (or every _FLUSH_EVERY
-        # epochs) — the per-epoch path stays lock- and registry-free.
-        self._mcounts: dict[str, int] | None = None
-        self._mflushed: dict[str, int] = {}
-        self._mpending: list[float] = []
-        self._mpending_done = 0
 
     # -- topology ----------------------------------------------------------
     def current_problem(self) -> EVAProblem | None:
@@ -954,6 +1002,7 @@ class SchedulerService:
         self._window.push(
             latency_s, benefit, cache_hits, solved, bool(full_solve)
         )
+        self._tally.add(decision)
         if self.wal is not None:
             self.wal.append_epoch(
                 epoch=epoch,
@@ -991,15 +1040,17 @@ class SchedulerService:
     def attach_observability(self, *, metrics=None, monitor=None) -> None:
         """Attach a live metrics mirror and/or a health monitor.
 
-        ``metrics`` is a :class:`repro.obs.metrics.MetricsRegistry`:
-        event-driven instruments (counters, the latency histogram) are
-        updated after every epoch decision, while derived gauges
-        (streams, queue depth, hit ratio, benefit) refresh lazily at
-        scrape time via a registry collect hook — the gauge-function
-        idiom, which keeps the per-epoch cost inside the <2% budget.
-        ``monitor`` is a :class:`repro.obs.health.HealthMonitor`
-        evaluated against :meth:`health_snapshot` each epoch, its edge
-        events appended to :attr:`alerts` and emitted as
+        ``metrics`` is a :class:`repro.obs.metrics.MetricsRegistry`.
+        Nothing on the per-epoch path touches it: a registry collect
+        hook (:meth:`_refresh_gauges`) fills the ``serve_*_total``
+        counters from the service's lifetime tally, the latency
+        histogram from the decisions recorded since the previous
+        scrape, and the derived gauges from :meth:`health_snapshot` —
+        so a registry attached after :meth:`resume` reports the same
+        lifetime totals as :meth:`summary`, and re-attaching one counts
+        nothing twice.  ``monitor`` is a
+        :class:`repro.obs.health.HealthMonitor` evaluated each epoch,
+        its edge events appended to :attr:`alerts` and emitted as
         ``alert.fired``/``alert.resolved`` telemetry.  Both are
         transient: checkpoints drop the registry (it owns locks), so
         re-attach after :meth:`resume`.
@@ -1008,81 +1059,35 @@ class SchedulerService:
             self.metrics.remove_collect_hook(self._refresh_gauges)
         self.metrics = metrics
         self.monitor = monitor
-        self._mhandles = None if metrics is None else {
-            "epochs": metrics.counter(
-                "serve_epochs_total", "epoch decisions made"
-            ),
-            "full_solves": metrics.counter(
-                "serve_full_solves_total", "full re-solves"
-            ),
-            "cache_hits": metrics.counter(
-                "serve_cache_hits_total", "cached stream decisions"
-            ),
-            "solved": metrics.counter(
-                "serve_solved_total", "re-solved stream decisions"
-            ),
-            "rejects": metrics.counter(
-                "serve_admission_rejects_total", "rejected joins"
-            ),
-            "evictions": metrics.counter(
-                "serve_evictions_total", "evicted streams"
-            ),
-            "shed": metrics.counter(
-                "serve_sheds_total", "joins shed by admission control"
-            ),
-            "latency": metrics.histogram(
-                "serve_decision_latency_seconds",
-                "per-epoch decision latency",
-                window_samples=DECISION_WINDOW,
-            ),
-            "streams": metrics.gauge("serve_streams", "admitted streams"),
-            "alive": metrics.gauge("serve_alive_servers", "servers up"),
-            "queue": metrics.gauge(
-                "serve_queue_depth", "events waiting in the queue"
-            ),
-            "hit_ratio": metrics.gauge(
-                "serve_cache_hit_ratio", "windowed cached/(cached+solved)"
-            ),
-            "benefit": metrics.gauge(
-                "serve_benefit", "current total system benefit"
-            ),
-            "baseline": metrics.gauge(
-                "serve_benefit_baseline", "rolling mean benefit (window)"
-            ),
-            "drop": metrics.gauge(
-                "serve_benefit_drop_ratio",
-                "relative drop of current benefit vs rolling baseline",
-            ),
-            "health": metrics.gauge(
-                "serve_health", "health state (0=ok, 1=degraded, 2=unhealthy)"
-            ),
-            "mode": metrics.gauge(
-                "serve_mode", "operating mode (0=normal, 1=brownout)"
-            ),
-            "breaker": metrics.gauge(
-                "serve_breaker_state",
-                "circuit breaker (0=closed, 1=half_open, 2=open)",
-            ),
-        }
         self._slo_probe = (
             None if monitor is None else self._build_slo_probe(monitor)
         )
-        self._mcounts = (
-            None
-            if metrics is None
-            else {key: 0 for key in _COUNTER_KEYS}
+        self._mhandles = None
+        if metrics is None:
+            return
+        h = {
+            field: metrics.counter(name, doc)
+            for name, field, doc in _METRIC_COUNTERS
+        }
+        h["latency"] = metrics.histogram(
+            "serve_decision_latency_seconds",
+            "per-epoch decision latency",
+            window_samples=DECISION_WINDOW,
         )
-        self._mflushed = {key: 0 for key in _COUNTER_KEYS}
-        self._mpending = []
-        self._mpending_done = 0
-        if metrics is not None:
-            metrics.add_collect_hook(self._refresh_gauges)
-            self._observe(self.decisions[-1] if self.decisions else None)
+        h.update(
+            (key, metrics.gauge(name, doc)) for name, key, doc in _METRIC_GAUGES
+        )
+        h["health"] = metrics.gauge(
+            "serve_health", "health state (0=ok, 1=degraded, 2=unhealthy)"
+        )
+        self._mhandles = h
+        self._mcursor = h["latency"].count
+        metrics.add_collect_hook(self._refresh_gauges)
 
     def _build_slo_probe(self, monitor) -> Callable[[], dict]:
         """Compile a minimal per-epoch snapshot for ``monitor``'s rules.
 
-        :meth:`health_snapshot` builds all 13 documented keys; the
+        :meth:`health_snapshot` builds every documented key; the
         attached rules typically read two.  This binds one getter per
         *referenced* key (unknown metrics stay absent, so such rules
         abstain — the same semantics as the full snapshot) and returns
@@ -1099,148 +1104,84 @@ class SchedulerService:
 
         return probe
 
-    def _observe(self, decision: ServeDecision | None) -> None:
-        """Per-epoch observability: event counters, histogram, SLO rules.
+    def _observe(self, decision: ServeDecision) -> None:
+        """Per-epoch SLO evaluation against the compiled probe.
 
         Hot path — one call per epoch; the ``test_metrics_overhead``
-        bench holds it under 2% of the serve loop.  Counter deltas and
-        latency samples land in plain Python state (no locks, no
-        registry calls) and flush on scrape; derived gauges refresh at
-        scrape time too (:meth:`_refresh_gauges`, a registry collect
-        hook).  ``serve_health`` is additionally bumped on alert edges
-        so the gauge moves with the event, and SLO rules run against
-        the compiled minimal probe, not the full snapshot.
+        bench holds it under 2% of the serve loop.  It never touches
+        the metrics registry (counters, the latency histogram and the
+        gauges fill at scrape time in :meth:`_refresh_gauges`), except
+        that ``serve_health`` is bumped on alert edges so the gauge
+        moves with the event.
         """
-        if decision is None:
+        if self.monitor is None:
             return
-        c = self._mcounts
-        if c is not None:
-            c["epochs"] += 1
-            if decision.full_solve:
-                c["full_solves"] += 1
-            c["cache_hits"] += decision.cache_hits
-            c["solved"] += decision.solved
-            if decision.rejected:
-                c["rejects"] += len(decision.rejected)
-            if decision.evicted:
-                c["evictions"] += len(decision.evicted)
-            if decision.shed:
-                c["shed"] += len(decision.shed)
-            self._mpending.append(decision.latency_s)
-            if len(self._mpending) >= _FLUSH_EVERY:
-                with self.metrics.lock:
-                    self._flush_metrics_locked(trim=True)
-        if self.monitor is not None:
-            snap_fn = self._slo_probe or self.health_snapshot
-            edges = self.monitor.evaluate(snap_fn(), epoch=decision.epoch)
-            for edge in edges:
-                self.alerts.append(dict(edge))
-                if self.remediation is not None:
-                    self._remediate(edge, epoch=decision.epoch)
-                kind = edge.pop("event")
-                telemetry.counter(f"serve.{kind.replace('.', '_')}")
-                telemetry.event(kind, epoch=decision.epoch, **edge)
-            if self._mhandles is not None and edges:
-                from repro.obs.health import severity_rank
+        snap_fn = self._slo_probe or self.health_snapshot
+        edges = self.monitor.evaluate(snap_fn(), epoch=decision.epoch)
+        for edge in edges:
+            self.alerts.append(dict(edge))
+            if self.remediation is not None:
+                self._remediate(edge, epoch=decision.epoch)
+            kind = edge.pop("event")
+            telemetry.counter(f"serve.{kind.replace('.', '_')}")
+            telemetry.event(kind, epoch=decision.epoch, **edge)
+        if self._mhandles is not None and edges:
+            from repro.obs.health import severity_rank
 
-                self._mhandles["health"].set(severity_rank(self.monitor.state))
-
-    def _flush_metrics_locked(self, *, trim: bool = False) -> None:
-        """Push accumulated counter deltas and latency samples.
-
-        Caller must hold the registry lock.  Counter totals are
-        monotone, so a delta missed by one flush (a racing increment)
-        is picked up by the next — nothing is lost or double-counted.
-        ``trim`` drops already-flushed samples from the pending list;
-        only the serve thread (the list's sole writer) may pass it.
-        """
-        h = self._mhandles
-        c = self._mcounts
-        if h is None or c is None:
-            return
-        flushed = self._mflushed
-        for key in _COUNTER_KEYS:
-            delta = c[key] - flushed[key]
-            if delta:
-                h[key].inc_locked(delta)
-                flushed[key] = c[key]
-        pending = self._mpending
-        done = self._mpending_done
-        n = len(pending)
-        if done < n:
-            observe = h["latency"].observe_locked
-            for value in pending[done:n]:
-                observe(value)
-            self._mpending_done = n
-        if trim:
-            del pending[: self._mpending_done]
-            self._mpending_done = 0
+            self._mhandles["health"].set(severity_rank(self.monitor.state))
 
     def _refresh_gauges(self) -> None:
-        """Scrape-time refresh (registry collect hook).
+        """Scrape-time sync (registry collect hook).
 
         Runs on the scraper's thread whenever the registry is collected
-        (``/metrics``, ``/varz``, ``to_dict``): flushes the counter
-        accumulator, then recomputes derived gauges — so all of this
-        costs the serve loop nothing between scrapes.
+        (``/metrics``, ``/varz``, ``to_dict``): raises each
+        ``serve_*_total`` counter to its lifetime :class:`_Tally`
+        total (counters stay monotone), feeds the latency histogram the
+        decisions recorded since the last scrape, and recomputes the
+        derived gauges — so all of this costs the serve loop nothing
+        between scrapes.
         """
         h = self._mhandles
         if h is None:
             return
         snap = self.health_snapshot()
         with self.metrics.lock:
-            self._flush_metrics_locked()
-            h["streams"].set_locked(snap["n_streams"])
-            h["alive"].set_locked(snap["n_alive_servers"])
-            h["queue"].set_locked(snap["queue_depth"])
-            h["hit_ratio"].set_locked(snap["cache_hit_ratio"])
-            if snap["benefit"] is not None:
-                h["benefit"].set_locked(snap["benefit"])
-                h["baseline"].set_locked(snap["benefit_baseline"])
-                h["drop"].set_locked(snap["benefit_drop_ratio"])
+            # One read of the tally per scrape, under the lock so
+            # concurrent scrapes see it grow in order: the histogram
+            # count then equals the epochs total.  _emit_decision
+            # appends a decision before the tally counts it, so
+            # decisions[:epochs] always exist.
+            totals = dict(vars(self._tally))
+            for _, field, _ in _METRIC_COUNTERS:
+                delta = totals[field] - h[field].value
+                if delta > 0:
+                    h[field].inc_locked(delta)
+            n = totals["epochs"]
+            if n > self._mcursor:
+                observe = h["latency"].observe_locked
+                for d in self.decisions[self._mcursor:n]:
+                    observe(d.latency_s)
+                self._mcursor = n
+            for _, key, _ in _METRIC_GAUGES:
+                if snap[key] is not None:
+                    h[key].set_locked(snap[key])
             if self.monitor is not None:
                 from repro.obs.health import severity_rank
 
                 h["health"].set_locked(severity_rank(self.monitor.state))
-            h["mode"].set_locked(1 if self.mode == "brownout" else 0)
-            h["breaker"].set_locked(
-                0 if self.breaker is None else self.breaker.rank
-            )
 
     def health_snapshot(self) -> dict:
         """Windowed SLO inputs: the dict :class:`HealthMonitor` rules see.
 
-        Percentiles and the benefit baseline come from the rolling
-        :data:`DECISION_WINDOW` — the same definition :meth:`summary`
-        and ``repro serve report`` use — so an alert threshold means
-        the same thing everywhere.
+        One entry per :data:`_SLO_GETTERS` key — the same getters the
+        compiled per-epoch SLO probe evaluates, so ``/healthz`` shows
+        exactly what the rules judged.  Percentiles and the benefit
+        baseline come from the rolling :data:`DECISION_WINDOW` — the
+        same definition :meth:`summary` and ``repro serve report`` use
+        — so an alert threshold means the same thing everywhere.
         """
-        w = self._window
-        lat = w.lat_sorted
-        hits, solved = w.hits, w.solved
-        benefit = w.last_benefit
-        baseline = w.baseline
-        drop = 0.0
-        if benefit is not None and baseline is not None:
-            drop = max(0.0, (baseline - benefit) / max(abs(baseline), 1e-12))
-        snap: dict = {
-            "epoch": self.epoch,
-            "window": len(self._window),
-            "decision_p50_s": _pct(lat, 0.50),
-            "decision_p95_s": _pct(lat, 0.95),
-            "decision_p99_s": _pct(lat, 0.99),
-            "decision_max_s": lat[-1] if lat else 0.0,
-            "cache_hit_ratio": hits / (hits + solved) if hits + solved else 0.0,
-            "queue_depth": len(self.queue),
-            "n_streams": len(self.planner.entries),
-            "n_alive_servers": self.planner.n_alive,
-            "benefit": benefit,
-            "benefit_baseline": baseline,
-            "benefit_drop_ratio": drop if benefit is not None else None,
-            "mode_brownout": 1 if self.mode == "brownout" else 0,
-            "breaker_state": 0 if self.breaker is None else self.breaker.rank,
-        }
-        return snap
+        window = self._window
+        return {k: g(self, window) for k, g in _SLO_GETTERS.items()}
 
     def health_status(self) -> dict:
         """``/healthz`` document: monitor verdict plus the snapshot."""
@@ -1254,12 +1195,11 @@ class SchedulerService:
 
     def varz(self) -> dict:
         """``/varz`` service section: summary + snapshot + alert history."""
+        summary = self.summary()
         return {
-            "summary": self.summary(),
+            "summary": summary,
             "snapshot": self.health_snapshot(),
-            "alerts_fired": sum(
-                1 for a in self.alerts if a.get("event") == "alert.fired"
-            ),
+            "alerts_fired": summary["alerts_fired"],
             "recent_alerts": self.alerts[-10:],
         }
 
@@ -1390,10 +1330,6 @@ class SchedulerService:
         state["_stop"] = False
         state["_mhandles"] = None
         state["_slo_probe"] = None  # compiled closures don't pickle
-        state["_mcounts"] = None  # accumulator belongs to the registry
-        state["_mflushed"] = {}
-        state["_mpending"] = []
-        state["_mpending_done"] = 0
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -1406,39 +1342,29 @@ class SchedulerService:
     def summary(self) -> dict:
         """Aggregate run statistics over all decisions so far.
 
-        Counts are lifetime totals; the latency percentiles are the
+        Counts are the lifetime :class:`_Tally` totals (O(1), no pass
+        over :attr:`decisions`); the latency percentiles are the
         *rolling-window* definition (last :data:`DECISION_WINDOW`
         epochs) shared with :meth:`health_snapshot` and ``repro serve
         report`` — lifetime percentiles go stale on hours-long runs,
         reporting warm-up latencies forever.
         """
-        lat = self._window.lat_sorted
-        benefits = [d.benefit for d in self.decisions if d.benefit is not None]
+        snap = self.health_snapshot()
         return {
-            "epochs": len(self.decisions),
-            "full_solves": sum(1 for d in self.decisions if d.full_solve),
-            "cache_hits": sum(d.cache_hits for d in self.decisions),
-            "solved": sum(d.solved for d in self.decisions),
-            "rejected": sum(len(d.rejected) for d in self.decisions),
-            "evicted": sum(len(d.evicted) for d in self.decisions),
-            "shed": sum(len(d.shed) for d in self.decisions),
-            "brownout_epochs": sum(
-                1 for d in self.decisions if d.mode == "brownout"
-            ),
+            **vars(self._tally),
+            "benefit_last": snap["benefit"],
             "mode": self.mode,
             "breaker_state": (
                 None if self.breaker is None else self.breaker.state
             ),
             "breaker_opens": 0 if self.breaker is None else self.breaker.opens,
-            "n_streams": len(self.planner.entries),
-            "n_alive_servers": self.planner.n_alive,
-            "benefit_first": benefits[0] if benefits else None,
-            "benefit_last": benefits[-1] if benefits else None,
-            "decision_window": len(lat),
-            "decision_p50_s": _pct(lat, 0.50),
-            "decision_p95_s": _pct(lat, 0.95),
-            "decision_p99_s": _pct(lat, 0.99),
-            "decision_max_s": lat[-1] if lat else 0.0,
+            "n_streams": snap["n_streams"],
+            "n_alive_servers": snap["n_alive_servers"],
+            "decision_window": snap["window"],
+            "decision_p50_s": snap["decision_p50_s"],
+            "decision_p95_s": snap["decision_p95_s"],
+            "decision_p99_s": snap["decision_p99_s"],
+            "decision_max_s": snap["decision_max_s"],
             "alerts_fired": sum(
                 1 for a in self.alerts if a.get("event") == "alert.fired"
             ),

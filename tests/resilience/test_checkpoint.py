@@ -42,14 +42,19 @@ class TestSaveLoad:
         assert ckpt.meta["method"] == "pamo"
         assert ckpt.iteration == 4
 
-    # 1 is the format written before the v2.0 layout; the other is a
+    # 1 is the format written before the v2.0 layout, 2 the one before
+    # serve checkpoints carried their lifetime tally; the last is a
     # checkpoint from a newer build.
-    @pytest.mark.parametrize("version", [1, CHECKPOINT_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, CHECKPOINT_VERSION + 1])
     def test_rejects_foreign_version(self, tmp_path, version):
         path = tmp_path / "old.ckpt"
         with path.open("wb") as fh:
             pickle.dump({"version": version, "scheduler": 0, "bo_state": 0}, fh)
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(
+            ValueError,
+            match=f"has version {version}; this build reads version "
+            f"{CHECKPOINT_VERSION}",
+        ):
             load_checkpoint(path)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):

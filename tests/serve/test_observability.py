@@ -17,11 +17,15 @@ from repro.obs import (
     render_prometheus,
     telemetry,
 )
+from repro.resilience import CircuitBreaker
 from repro.serve import (
     DECISION_WINDOW,
+    AdmissionController,
+    ChurnProfile,
     SchedulerService,
     ServeEvent,
     approx_preference,
+    generate_load,
     render_top,
     run_top,
     summarize_serve_run,
@@ -114,6 +118,205 @@ class TestServiceWiring:
         assert clone.metrics is None
         assert clone.monitor is not None
         assert clone.summary()["decision_window"] == svc.summary()["decision_window"]
+
+
+#: ``/metrics`` counter -> the summary() total it must equal.
+_COUNTER_TOTALS = {
+    "repro_serve_epochs_total": "epochs",
+    "repro_serve_full_solves_total": "full_solves",
+    "repro_serve_cache_hits_total": "cache_hits",
+    "repro_serve_solved_total": "solved",
+    "repro_serve_admission_rejects_total": "rejected",
+    "repro_serve_evictions_total": "evicted",
+    "repro_serve_sheds_total": "shed",
+}
+
+
+def _assert_metrics_match_summary(reg, svc):
+    d = reg.to_dict()
+    s = svc.summary()
+    for name, key in _COUNTER_TOTALS.items():
+        assert d[name]["value"] == s[key], name
+    assert d["repro_serve_decision_latency_seconds"]["count"] == s["epochs"]
+
+
+def _overloaded_service():
+    """Tight fleet, flash crowd, rate-limited joins, a breaker that
+    always trips: every summary() count ends up non-zero."""
+    rng = np.random.default_rng(0)
+    problem = EVAProblem(
+        12,
+        rng.choice([5.0, 10.0], size=3),
+        textures=rng.uniform(0.7, 1.3, size=12),
+    )
+    svc = SchedulerService(
+        problem,
+        preference=approx_preference(problem),
+        reoptimize_every=5,
+        admission=AdmissionController(
+            priority_map={0: 2, 1: 2, 2: 2},
+            default_priority=1,
+            join_rate_per_epoch=1.0,
+            protect_priority=2,
+        ),
+        breaker=CircuitBreaker(
+            failure_threshold=1, cooldown_epochs=4, deadline_s=1e-9
+        ),
+    )
+    svc.submit(
+        generate_load(
+            12,
+            3,
+            profile=ChurnProfile(
+                hours=0.1,
+                arrivals_per_hour=1500,
+                departures_per_hour=300,
+                drifts_per_hour=60,
+                flaps_per_hour=60,
+                burst_start_s=60,
+                burst_duration_s=120,
+                burst_multiplier=6,
+            ),
+            seed=0,
+        )
+    )
+    return svc
+
+
+class TestLifetimeTally:
+    def test_resumed_registry_reports_lifetime_totals(self, tmp_path):
+        problem = _problem(40, 10)
+        svc = _service(problem)
+        svc.submit(
+            generate_load(
+                40,
+                10,
+                profile=ChurnProfile(
+                    hours=0.2,
+                    arrivals_per_hour=600,
+                    departures_per_hour=400,
+                    drifts_per_hour=60,
+                    flaps_per_hour=30,
+                ),
+                seed=0,
+            )
+        )
+        svc.run(max_epochs=50)
+        ckpt = tmp_path / "serve.ckpt"
+        svc.save_checkpoint(ckpt)
+        resumed = SchedulerService.resume(ckpt)
+        reg = MetricsRegistry()
+        resumed.attach_observability(metrics=reg)
+        resumed.run(max_epochs=20)
+        assert resumed.summary()["epochs"] == 71
+        _assert_metrics_match_summary(reg, resumed)
+        # Re-attaching the same registry counts nothing a second time.
+        resumed.attach_observability(metrics=reg)
+        _assert_metrics_match_summary(reg, resumed)
+        resumed.run(max_epochs=5)
+        _assert_metrics_match_summary(reg, resumed)
+
+    def test_summary_equals_rescan_of_decisions(self):
+        svc = _overloaded_service()
+        reg = MetricsRegistry()
+        svc.attach_observability(metrics=reg)
+        svc.run(max_epochs=40)
+        reg.to_dict()  # a mid-run scrape
+        svc.run()
+        ds = svc.decisions
+        benefits = [d.benefit for d in ds if d.benefit is not None]
+        oracle = {
+            "epochs": len(ds),
+            "full_solves": sum(1 for d in ds if d.full_solve),
+            "cache_hits": sum(d.cache_hits for d in ds),
+            "solved": sum(d.solved for d in ds),
+            "rejected": sum(len(d.rejected) for d in ds),
+            "evicted": sum(len(d.evicted) for d in ds),
+            "shed": sum(len(d.shed) for d in ds),
+            "brownout_epochs": sum(1 for d in ds if d.mode == "brownout"),
+            "benefit_first": benefits[0] if benefits else None,
+            "benefit_last": benefits[-1] if benefits else None,
+        }
+        s = svc.summary()
+        assert {k: s[k] for k in oracle} == oracle
+        for key in ("rejected", "evicted", "shed", "brownout_epochs"):
+            assert oracle[key] > 0, key
+        _assert_metrics_match_summary(reg, svc)
+
+    def test_concurrent_scrapes_stay_monotone_and_exact(self):
+        # The serve thread writes the tally and the decision list while
+        # two scrapers race the collect hook; a lost cursor update
+        # would double-feed (or skip) histogram samples.
+        import sys
+        import threading
+
+        svc = _overloaded_service()
+        reg = MetricsRegistry()
+        svc.attach_observability(metrics=reg)
+        seen: list[list[float]] = [[], []]
+        done = threading.Event()
+
+        def scrape(out):
+            while not done.is_set():
+                # collect() runs the hook without holding the lock
+                # throughout, so the two scrapers' hooks can interleave.
+                metrics = dict(reg.collect())
+                out.append(metrics["repro_serve_epochs_total"].value)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            scrapers = [
+                threading.Thread(target=scrape, args=(out,)) for out in seen
+            ]
+            for t in scrapers:
+                t.start()
+            svc.run()
+            done.set()
+            for t in scrapers:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            done.set()
+            sys.setswitchinterval(old)
+        for out in seen:
+            assert out, "scraper never ran"
+            assert out == sorted(out)
+        _assert_metrics_match_summary(reg, svc)
+
+    def test_slo_probe_equals_health_snapshot_every_epoch(self):
+        # One rule per snapshot key, so the compiled probe covers them
+        # all.  With every stream gone no epoch is scored: once
+        # DECISION_WINDOW such epochs push the last score out of the
+        # window, the baseline is None and so is the drop ratio.
+        svc = _service()
+        keys = list(svc.health_snapshot())
+        svc.attach_observability(
+            monitor=HealthMonitor(
+                [SloRule(metric=k, op="<", threshold=1e18) for k in keys]
+            )
+        )
+        events = [
+            ServeEvent(time=1.0, kind="stream_leave", target=sid)
+            for sid in range(svc.problem.n_streams)
+        ]
+        events += [
+            ServeEvent(time=float(t), kind="stream_leave", target=999)
+            for t in range(2, DECISION_WINDOW + 8)
+        ]
+        svc.submit(events)
+        svc.start()
+        stale = 0
+        while svc.queue:
+            svc.run(max_epochs=1)
+            probe = svc._slo_probe()
+            snap = svc.health_snapshot()
+            assert set(probe) == set(keys)
+            assert probe == {k: snap[k] for k in probe}
+            if snap["benefit"] is not None and snap["benefit_baseline"] is None:
+                stale += 1
+                assert snap["benefit_drop_ratio"] is None
+        assert stale > 0
 
 
 class TestHealthAndAlerts:

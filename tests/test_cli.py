@@ -148,6 +148,31 @@ class TestFigure:
         data = load_results(out_path)
         assert "algorithm1_jitter" in data
 
+    def test_failing_figure_still_closes_telemetry(self, tmp_path, monkeypatch):
+        import json
+
+        import repro.bench
+        from repro.obs import telemetry
+
+        def boom():
+            raise RuntimeError("figure failed")
+
+        monkeypatch.setattr(repro.bench, "fig4_jitter", boom)
+        path = tmp_path / "fig4.jsonl"
+        with pytest.raises(RuntimeError, match="figure failed"):
+            main(["figure", "4", "--telemetry", str(path)])
+        assert not telemetry.enabled
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert records[-1]["event"] == "run.summary"
+        assert records[-1]["figure"] == "4"
+
+    def test_unwritable_telemetry_path_errors(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["figure", "4", "--telemetry", str(blocker / "t.jsonl")])
+        assert rc == 2
+        assert "cannot write telemetry log" in capsys.readouterr().err
+
     def test_telemetry_summary_embedded_in_output(self, capsys, tmp_path):
         out_path = tmp_path / "fig4.json"
         tel_path = tmp_path / "fig4.jsonl"
