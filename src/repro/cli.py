@@ -861,8 +861,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
         return 2
     wal_spec = None
     if args.resume:
-        from repro.resilience.checkpoint import load_checkpoint  # noqa: F401
-
         try:
             service = SchedulerService.resume(args.resume)
         except (OSError, ValueError, EOFError, pickle.UnpicklingError) as exc:
@@ -982,7 +980,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
                 metrics=registry, monitor=HealthMonitor(rules)
             )
         if want_metrics:
-            telemetry.attach_metrics(registry)
             metrics_server = MetricsServer(
                 registry,
                 health=service.health_status,
@@ -1061,7 +1058,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
             if wal is not None:
                 wal.close()
             if metrics_server is not None:
-                telemetry.attach_metrics(None)
                 metrics_server.stop()
 
     s = service.summary()
@@ -1198,7 +1194,7 @@ def _cmd_serve_report(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.log}: {exc}", file=sys.stderr)
         return 2
-    if summary.epochs == 0 and summary.decision_count == 0:
+    if summary.epochs == 0:
         print(f"error: no serve events in {args.log}", file=sys.stderr)
         return 2
     if args.format == "json":

@@ -31,10 +31,10 @@ Prometheus text format, and ``to_dict()`` is the JSON twin served at
 through one registry lock, so a scraper thread can render mid-epoch
 without torn reads (pinned by the concurrent-scrape test).
 
-Telemetry feeds in: :meth:`repro.obs.telemetry.Telemetry.attach_metrics`
-mirrors every counter increment and span completion into a registry, so
-existing instrumentation lights up the live surface without new call
-sites.
+The registry is fed by its owners, not by telemetry: the serve loop
+registers its instruments and fills them from its own decision record
+in a collect hook (:meth:`MetricsRegistry.add_collect_hook`), so the
+JSONL event log and ``/metrics`` never count the same fact twice.
 """
 
 from __future__ import annotations
@@ -459,21 +459,6 @@ class MetricsRegistry:
             ),
             "histogram",
         )
-
-    # -- telemetry bridge -------------------------------------------------
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        """Bridge hook: mirror a telemetry counter increment."""
-        self.counter(name).inc(amount)
-
-    def set(self, name: str, value: float) -> None:
-        """Bridge hook: mirror a telemetry gauge update."""
-        self.gauge(name).set(value)
-
-    def observe_span(self, name: str, seconds: float) -> None:
-        """Bridge hook: record one span completion as a duration sample."""
-        self.histogram(
-            f"{name}_duration_seconds", f"span {name!r} durations"
-        ).observe(seconds)
 
     # -- snapshots --------------------------------------------------------
     @property

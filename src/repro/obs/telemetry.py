@@ -149,7 +149,6 @@ class Telemetry:
         self._trace_id: str | None = None
         self._parent_span_id: str | None = None
         self._pid = os.getpid()
-        self._metrics = None  # optional live MetricsRegistry mirror
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -234,19 +233,6 @@ class Telemetry:
             self._started_tracemalloc = False
         return self
 
-    def attach_metrics(self, registry) -> "Telemetry":
-        """Mirror counters/gauges/span durations into a live registry.
-
-        ``registry`` is a :class:`repro.obs.metrics.MetricsRegistry` (or
-        anything with ``inc``/``set``/``observe_span``).  While attached
-        *and* telemetry is enabled, every :meth:`counter`,
-        :meth:`gauge`, and span completion also updates the registry, so
-        existing instrumentation feeds the ``/metrics`` scrape surface
-        without new call sites.  Pass ``None`` to detach.
-        """
-        self._metrics = registry
-        return self
-
     def reset(self) -> "Telemetry":
         """Clear all accumulated counters, gauges, spans, and profiles."""
         with self._lock:
@@ -328,8 +314,6 @@ class Telemetry:
         stack = self._stack()
         if stack and stack[-1][0] == span.name:
             stack.pop()
-        if self._metrics is not None:
-            self._metrics.observe_span(span.name, elapsed)
         record: dict[str, Any] = {
             "span": span.path,
             "name": span.name,
@@ -351,8 +335,6 @@ class Telemetry:
             return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + inc
-        if self._metrics is not None:
-            self._metrics.inc(name, inc)
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to its latest ``value``."""
@@ -360,8 +342,6 @@ class Telemetry:
             return
         with self._lock:
             self._gauges[name] = float(value)
-        if self._metrics is not None:
-            self._metrics.set(name, value)
 
     # -- structured events ----------------------------------------------
     def event(self, kind: str, /, **fields: Any) -> None:

@@ -6,7 +6,7 @@ consumes :class:`~repro.serve.events.ServeEvent` churn (stream
 join/leave, bandwidth drift, server membership, drift alarms) on an
 epoch clock, maintains the live schedule incrementally through
 :class:`~repro.serve.engine.IncrementalPlanner`, and proves the
-incremental path with ``serve.*`` telemetry counters.
+incremental path with a per-epoch decision record.
 :func:`~repro.serve.loadgen.generate_load` drives seeded churn at
 thousands of events per simulated hour, and
 :func:`~repro.serve.report.summarize_serve_run` turns the resulting

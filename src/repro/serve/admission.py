@@ -28,8 +28,8 @@ should keep the valuable streams and shed the cheap ones.
 
 Everything is deterministic (epoch-indexed bucket, sorted victim
 order, no wall clock) and picklable, so checkpointed runs replay
-bit-identically.  The service emits ``admit.rejected`` /
-``admit.shed`` / ``admit.evicted_for`` counters from the outcomes.
+bit-identically.  The service records rejected and shed joins on the
+epoch's decision and counts evictions in ``admit.evicted_for``.
 """
 
 from __future__ import annotations

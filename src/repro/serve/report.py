@@ -1,33 +1,31 @@
 """Serve-run reporting: decision-latency percentiles from a trace log.
 
 A serve run records everything through :mod:`repro.obs` — one
-``serve.decision`` span (and one ``serve.decision`` event) per epoch,
-the ``serve.*`` counters inside the final ``run.summary`` — so the
-generic ``repro report``/``repro trace`` work unchanged.  This module
-adds the serve-specific view: :func:`summarize_serve_run` parses the
-JSONL (across rotated segments) into a :class:`ServeSummary` whose
-headline p50/p95/p99 use the **rolling-window definition** shared with
-:meth:`repro.serve.service.SchedulerService.summary` and the live
-``/metrics`` surface — exact percentiles over the most recent
-:data:`~repro.serve.service.DECISION_WINDOW` epochs — plus the counter
-proof of the incremental path (``full_solves``/``cache_hits``), the
-benefit trajectory, and any ``alert.*`` events.  The p95 budget gate of
-the ``serve-smoke`` CI job is :meth:`ServeSummary.gate`.
+``serve.decision`` event per epoch (plus the ``serve.decision`` span
+the generic ``repro report``/``repro trace`` read), and the remaining
+``serve.*``/``admit.*``/``breaker.*`` counters inside the final
+``run.summary``.  This module adds the serve-specific view:
+:func:`summarize_serve_run` parses the JSONL (across rotated segments)
+into a :class:`ServeSummary`.  Its counts fold the ``serve.decision``
+events through the service's own lifetime tally, and its headline
+p50/p95/p99 are exact percentiles of their ``latency_s`` over the most
+recent :data:`~repro.serve.service.DECISION_WINDOW` epochs — the
+definition :meth:`repro.serve.service.SchedulerService.summary` and the
+live ``/metrics`` surface use — so a single-process run reports the
+same numbers both ways.  It also carries the benefit trajectory and any
+``alert.*`` events.  The p95 budget gate of the ``serve-smoke`` CI job
+is :meth:`ServeSummary.gate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.obs.metrics import percentile
 
 __all__ = ["ServeSummary", "summarize_serve_run"]
-
-#: Leaf span name of the per-epoch decision timer (matched on the span's
-#: ``name``, not its slash-joined path — serve runs nest it under the
-#: CLI's ``cli.serve`` root span).
-DECISION_SPAN = "serve.decision"
 
 
 @dataclass
@@ -179,44 +177,31 @@ def summarize_serve_run(path) -> ServeSummary:
     """Parse a serve run's JSONL trace into a :class:`ServeSummary`.
 
     Reads across rotated segments (``path.N`` ... ``path``) and is
-    tolerant of partial logs (crashed runs): percentiles come from the
-    per-epoch span events, counters prefer the final ``run.summary``
-    but fall back to summing the per-epoch decision events.
+    tolerant of partial logs (crashed runs): every per-epoch number
+    comes from the ``serve.decision`` events, and only the facts a
+    decision does not carry (repairs, admission evictions, breaker
+    transitions, WAL syncs) come from the final ``run.summary``.
     """
     from repro.obs.sinks import iter_jsonl_records, jsonl_segments
-    from repro.serve.service import DECISION_WINDOW
+    from repro.serve.service import DECISION_WINDOW, _Tally
 
     path = Path(path)
     if not jsonl_segments(path):
         raise FileNotFoundError(path)
     summary = ServeSummary(path=str(path))
-    durations: list[float] = []
-    benefits: list[float] = []
-    epoch_full_solves = epoch_cache_hits = epoch_solved = 0
-    epoch_rejects = epoch_events = 0
-    epoch_shed = 0
-    run_counters: dict | None = None
+    tally = _Tally()
+    latencies: list[float] = []
     for rec in iter_jsonl_records(path):
         kind = rec.get("event")
         if kind == "trace.start" and summary.trace_id is None:
             summary.trace_id = rec.get("trace_id")
-        elif kind == "span" and rec.get("name") == DECISION_SPAN:
-            durations.append(float(rec.get("duration_s", 0.0)))
         elif kind == "serve.decision":
-            summary.epochs += 1
-            epoch_events += len(rec.get("events", ()))
-            epoch_full_solves += bool(rec.get("full_solve"))
-            epoch_cache_hits += int(rec.get("cache_hits", 0))
-            epoch_solved += int(rec.get("solved", 0))
-            epoch_rejects += len(rec.get("rejected", ()))
-            epoch_shed += len(rec.get("shed", ()))
-            if rec.get("mode") == "brownout":
-                summary.brownout_epochs += 1
-            if rec.get("benefit") is not None:
-                benefits.append(float(rec["benefit"]))
-            summary.n_streams_last = int(
-                rec.get("n_streams", summary.n_streams_last)
-            )
+            tally.add(SimpleNamespace(**rec))
+            latencies.append(float(rec["latency_s"]))
+            summary.events += len(rec["events"])
+            if rec["benefit"] is not None:
+                summary.benefit_last = float(rec["benefit"])
+            summary.n_streams_last = int(rec["n_streams"])
         elif kind == "alert.fired":
             summary.alerts_fired += 1
             summary.alerts.append(rec)
@@ -224,35 +209,28 @@ def summarize_serve_run(path) -> ServeSummary:
             summary.alerts_resolved += 1
             summary.alerts.append(rec)
         elif kind == "run.summary":
-            run_counters = rec.get("report", {}).get("counters", {})
-    counters = run_counters if run_counters is not None else {}
-    summary.counters = counters
-    summary.events = int(counters.get("serve.events", epoch_events))
-    summary.full_solves = int(counters.get("serve.full_solves", epoch_full_solves))
-    summary.cache_hits = int(counters.get("serve.cache_hits", epoch_cache_hits))
-    summary.solved = int(counters.get("serve.solved", epoch_solved))
-    summary.admission_rejects = int(
-        counters.get("serve.admission_rejects", epoch_rejects)
-    )
+            summary.counters = rec.get("report", {}).get("counters", {})
+    counters = summary.counters
+    summary.epochs = summary.decision_count = tally.epochs
+    summary.full_solves = tally.full_solves
+    summary.cache_hits = tally.cache_hits
+    summary.solved = tally.solved
+    summary.admission_rejects = tally.rejected
+    summary.shed = tally.shed
+    summary.brownout_epochs = tally.brownout_epochs
+    summary.benefit_first = tally.benefit_first
     summary.repairs = int(counters.get("serve.repairs", 0))
-    summary.shed = int(counters.get("admit.shed", epoch_shed))
     summary.evicted_for_admission = int(counters.get("admit.evicted_for", 0))
     summary.breaker_opens = int(counters.get("breaker.opens", 0))
     summary.breaker_closes = int(counters.get("breaker.closes", 0))
     summary.wal_syncs = int(counters.get("wal.syncs", 0))
-    summary.decision_count = len(durations)
-    # Headline percentiles use the rolling-window definition shared
-    # with SchedulerService.summary(): the last DECISION_WINDOW epochs.
-    window = sorted(durations[-DECISION_WINDOW:])
+    window = sorted(latencies[-DECISION_WINDOW:])
     summary.decision_window = len(window)
     summary.decision_p50_s = percentile(window, 0.50)
     summary.decision_p95_s = percentile(window, 0.95)
     summary.decision_p99_s = percentile(window, 0.99)
     summary.decision_max_s = window[-1] if window else 0.0
     summary.decision_mean_s = (
-        sum(durations) / len(durations) if durations else 0.0
+        sum(latencies) / len(latencies) if latencies else 0.0
     )
-    if benefits:
-        summary.benefit_first = benefits[0]
-        summary.benefit_last = benefits[-1]
     return summary

@@ -12,8 +12,9 @@ clock, and emits one :class:`ServeDecision` per epoch:
   cache;
 * **steady state** replans incrementally — each event touches only the
   streams it names, every untouched stream's cached config is reused
-  (``serve.cache_hits``), and the decision latency is the engine's own
-  delta cost, measured per epoch under the ``serve.decision`` span;
+  (``ServeDecision.cache_hits``), and the decision latency
+  (``ServeDecision.latency_s``) is the whole epoch: event application,
+  outcome accounting and the WAL append;
 * **full solves** after warm-up happen only on explicit ``drift``
   events or a ``reoptimize_every`` schedule, via the scheduler's
   :meth:`~repro.core.scheduler.Scheduler.replan` (PaMO warm-starts).
@@ -29,12 +30,13 @@ a :class:`RemediationPolicy` turns the attached
 the same actions (enter brownout / shed joins / force a checkpoint)
 instead of only reporting them.
 
-Counters: ``serve.replans`` (epoch decisions), ``serve.full_solves``,
-``serve.cache_hits``, ``serve.events``, ``serve.solved``,
-``serve.repairs``, ``serve.evictions``, ``serve.admission_rejects``,
-plus the hardening families ``admit.rejected``/``admit.shed``/
-``admit.evicted_for``, ``breaker.*``, ``serve.brownout_*``, and
-``serve.suppressed_full_solves``.
+Each :class:`ServeDecision` is the one record of its epoch's facts
+(full solve, cache hits, re-solved streams, rejects, evictions, sheds,
+mode, latency): :meth:`SchedulerService.summary`, ``/metrics`` and
+``repro serve report`` all count them.  Telemetry counters record only
+facts a decision does not carry, such as ``serve.repairs``,
+``admit.evicted_for``, ``breaker.*``, the ``serve.brownout_*``
+transitions and ``serve.full_solve_errors``.
 
 The service pickles whole (planner, queue, scheduler, counters), so
 :func:`repro.resilience.checkpoint.save_checkpoint` gives mid-run
@@ -129,7 +131,10 @@ class _Tally:
     service.  :meth:`SchedulerService.summary` reads it in O(1) however
     long the run, and the ``serve_*_total`` counters mirror it at scrape
     time, so ``/varz`` and ``/metrics`` report the same lifetime totals,
-    across a resume too.
+    across a resume too.  :func:`repro.serve.report.summarize_serve_run`
+    folds the logged ``serve.decision`` events through :meth:`add` (it
+    reads only the decision's attribute names), so the post-hoc report
+    counts the same way.
     """
 
     epochs: int = 0
@@ -585,6 +590,7 @@ class SchedulerService:
         with telemetry.span("serve.decision"):
             stats = self._full_solve(reason="warmup", epoch=0)
             decision = self._emit_decision(
+                t0=t0,
                 epoch=0,
                 t=0.0,
                 events=[],
@@ -593,7 +599,6 @@ class SchedulerService:
                 cache_hits=0,
                 rejected=stats.get("rejected", []),
                 evicted=stats.get("evicted", []),
-                latency_s=time.perf_counter() - t0,
             )
         return decision
 
@@ -737,16 +742,10 @@ class SchedulerService:
                             telemetry.counter(
                                 "admit.evicted_for", len(out.evicted)
                             )
-                            telemetry.counter(
-                                "serve.evictions", len(out.evicted)
-                            )
                     elif out.action == "shed":
                         shed.append(sid)
-                        telemetry.counter("admit.shed")
                     else:
                         rejected.append(sid)
-                        telemetry.counter("admit.rejected")
-                        telemetry.counter("serve.admission_rejects")
                     for vid in out.dropped:  # failed rollback (pathological)
                         self.textures.pop(vid, None)
                         touched.add(vid)
@@ -834,6 +833,7 @@ class SchedulerService:
                 touched & set(self.planner.entries)
             )) if not want_full else 0
             decision = self._emit_decision(
+                t0=t0,
                 epoch=epoch,
                 t=t,
                 events=[self._event_label(e) for e in batch],
@@ -844,9 +844,7 @@ class SchedulerService:
                 evicted=evicted + full_stats.get("evicted", []),
                 shed=shed,
                 mode=mode,
-                latency_s=time.perf_counter() - t0,
             )
-        telemetry.counter("serve.events", len(batch))
         return decision
 
     # -- brownout / remediation --------------------------------------------
@@ -921,7 +919,6 @@ class SchedulerService:
         IS the engine state); ``None`` on the batch-scheduler path,
         where only ``last_decision`` is updated.
         """
-        telemetry.counter("serve.full_solves")
         if self.scheduler_factory is None:
             stats = self.planner.solve_all(dict(self.textures))
             for sid in stats.get("rejected", []):
@@ -960,6 +957,7 @@ class SchedulerService:
     def _emit_decision(
         self,
         *,
+        t0: float,
         epoch: int,
         t: float,
         events: list[str],
@@ -968,10 +966,18 @@ class SchedulerService:
         cache_hits: int,
         rejected: list[int],
         evicted: list[int],
-        latency_s: float,
         shed: list[int] | None = None,
         mode: str = "normal",
     ) -> ServeDecision:
+        """Build, journal and record one epoch's decision.
+
+        ``t0`` is the epoch's start (``perf_counter``): ``latency_s``
+        is set once outcome accounting, the assignment snapshot and the
+        WAL append have run, so every reader of it — :meth:`summary`,
+        the SLO probe, ``/metrics`` and the ``serve.decision`` event —
+        sees the whole epoch.  The decision is appended before the
+        tally counts it (the scrape hook relies on that order).
+        """
         sids, r, s = self.planner.decision_arrays()
         outcome = benefit = None
         assignment: dict[int, tuple[int, ...]] = {}
@@ -994,15 +1000,9 @@ class SchedulerService:
             solved=solved,
             rejected=rejected,
             evicted=evicted,
-            latency_s=latency_s,
             shed=list(shed) if shed else [],
             mode=mode,
         )
-        self.decisions.append(decision)
-        self._window.push(
-            latency_s, benefit, cache_hits, solved, bool(full_solve)
-        )
-        self._tally.add(decision)
         if self.wal is not None:
             self.wal.append_epoch(
                 epoch=epoch,
@@ -1010,10 +1010,12 @@ class SchedulerService:
                 full=bool(full_solve),
                 sig=decision.sig_hash(),
             )
-        telemetry.counter("serve.replans")
-        if not full_solve:  # serve.full_solves counted in _full_solve
-            telemetry.counter("serve.cache_hits", cache_hits)
-        telemetry.counter("serve.solved", solved)
+        decision.latency_s = latency_s = time.perf_counter() - t0
+        self.decisions.append(decision)
+        self._window.push(
+            latency_s, benefit, cache_hits, solved, bool(full_solve)
+        )
+        self._tally.add(decision)
         if telemetry.enabled:
             telemetry.event(
                 "serve.decision",
@@ -1031,7 +1033,7 @@ class SchedulerService:
                 evicted=[int(x) for x in evicted],
                 shed=[int(x) for x in decision.shed],
                 mode=mode,
-                latency_s=float(latency_s),
+                latency_s=latency_s,
             )
         self._observe(decision)
         return decision

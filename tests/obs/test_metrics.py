@@ -1,18 +1,17 @@
-"""Tests for repro.obs.metrics: instruments, windows, registry bridge."""
+"""Tests for repro.obs.metrics: instruments, windows, registry."""
 
 import math
 import threading
 
 import pytest
 
-from repro.obs import Ewma, MetricsRegistry, RollingWindow, Telemetry
+from repro.obs import Ewma, MetricsRegistry, RollingWindow
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     DEFAULT_WINDOW_SAMPLES,
     percentile,
     sanitize_metric_name,
 )
-from repro.obs.sinks import MemorySink
 
 
 class FakeClock:
@@ -226,50 +225,48 @@ class TestRegistry:
         reg.histogram("h").observe(0.01)
         json.dumps(reg.to_dict())  # must not raise
 
-    def test_bridge_hooks(self):
-        reg = MetricsRegistry()
-        reg.inc("serve.cache_hits", 3)
-        reg.set("serve.depth", 7)
-        reg.observe_span("serve.decision", 0.01)
-        d = reg.to_dict()
-        assert d["repro_serve_cache_hits"]["value"] == 3
-        assert d["repro_serve_depth"]["value"] == 7
-        assert d["repro_serve_decision_duration_seconds"]["count"] == 1
-
     def test_default_window_shape(self):
         h = MetricsRegistry().histogram("h")
         assert h.window.max_samples == DEFAULT_WINDOW_SAMPLES
         assert h.buckets == tuple(sorted(DEFAULT_BUCKETS))
 
 
-class TestTelemetryBridge:
-    def test_counters_spans_gauges_mirrored(self):
-        t = Telemetry()
-        t.enable(MemorySink())
-        reg = MetricsRegistry()
-        t.attach_metrics(reg)
-        try:
-            t.counter("serve.epochs", 2)
-            t.gauge("serve.benefit", 1.25)
-            with t.span("serve.decision"):
-                pass
-        finally:
-            t.attach_metrics(None)
-            t.disable()
-        d = reg.to_dict()
-        assert d["repro_serve_epochs"]["value"] == 2
-        assert d["repro_serve_benefit"]["value"] == 1.25
-        assert d["repro_serve_decision_duration_seconds"]["count"] == 1
+class TestOneSubstrate:
+    def test_telemetry_adds_no_serve_families(self, tmp_path, monkeypatch):
+        """With --telemetry and --metrics-port both on, /metrics holds
+        only the families the service registers itself."""
+        import repro.obs
+        from repro.cli import main
+        from repro.obs import telemetry
+        from repro.serve.service import _METRIC_COUNTERS, _METRIC_GAUGES
 
-    def test_detach_stops_mirroring(self):
-        t = Telemetry()
-        t.enable(MemorySink())
-        reg = MetricsRegistry()
-        t.attach_metrics(reg)
-        t.attach_metrics(None)
-        t.counter("late", 1)
-        t.disable()
-        assert "late" not in reg
+        made = []
+
+        def registry(*args, **kwargs):
+            made.append(MetricsRegistry(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(repro.obs, "MetricsRegistry", registry)
+        try:
+            rc = main(
+                [
+                    "serve", "run", "--streams", "4", "--servers", "3",
+                    "--hours", "0.02", "--arrivals-per-hour", "300",
+                    "--departures-per-hour", "200", "--seed", "1",
+                    "--metrics-port", "0",
+                    "--telemetry", str(tmp_path / "serve.jsonl"),
+                ]
+            )
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert rc == 0
+        (reg,) = made
+        families = {n for n in reg.to_dict() if n.startswith("repro_serve_")}
+        expected = {
+            f"repro_{name}" for name, _, _ in _METRIC_COUNTERS + _METRIC_GAUGES
+        } | {"repro_serve_decision_latency_seconds", "repro_serve_health"}
+        assert families == expected
 
 
 class TestThreadSafety:

@@ -156,5 +156,5 @@ class TestServeReport:
         assert main(["report", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "serve.decision" in out
-        assert "serve.replans" in out
+        assert "sched.assign_cache_hits" in out
         assert main(["trace", str(trace)]) == 0

@@ -51,7 +51,6 @@ def _service(problem=None, **kw):
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
     yield
-    telemetry.attach_metrics(None)
     telemetry.disable()
     telemetry.reset()
 
@@ -374,30 +373,49 @@ class TestHealthAndAlerts:
 
 class TestSummaryReportAgreement:
     def test_summary_and_report_share_percentile_definition(self, tmp_path):
+        # Both read the same record — each decision's latency_s and
+        # fields — so a single-process run reports identical numbers.
         path = tmp_path / "serve.jsonl"
         telemetry.enable(JsonlSink(path))
-        svc = _service()
-        svc.submit(_churn(8))
+        svc = _overloaded_service()
         svc.run()
         s = svc.summary()
         telemetry.disable()
         rep = summarize_serve_run(path)
-        assert rep.decision_count == s["epochs"]
-        assert rep.decision_window == s["decision_window"]
-        assert rep.decision_window <= DECISION_WINDOW
-        # The shared contract is the definition — exact percentiles over
-        # the most recent DECISION_WINDOW epochs — not bit equality: the
-        # span and latency_s bracket slightly different code.  Both must
-        # be internally consistent and of the same scale.
-        for side in (rep.to_dict(), s):
-            assert (
-                side["decision_p50_s"]
-                <= side["decision_p95_s"]
-                <= side["decision_p99_s"]
-                <= side["decision_max_s"]
-            )
-        assert rep.decision_max_s < 10.0
-        assert s["decision_max_s"] < 10.0
+        assert s["rejected"] > 0 and s["shed"] > 0
+        assert rep.decision_window == s["decision_window"] <= DECISION_WINDOW
+        assert rep.decision_count == rep.epochs == s["epochs"]
+        for key in ("p50", "p95", "p99", "max"):
+            assert rep.to_dict()[f"decision_{key}_s"] == s[f"decision_{key}_s"]
+        assert rep.full_solves == s["full_solves"]
+        assert rep.cache_hits == s["cache_hits"]
+        assert rep.solved == s["solved"]
+        assert rep.admission_rejects == s["rejected"]
+        assert rep.shed == s["shed"]
+        assert rep.brownout_epochs == s["brownout_epochs"]
+        assert rep.benefit_first == s["benefit_first"]
+        assert rep.benefit_last == s["benefit_last"]
+
+    def test_latency_covers_whole_epoch(self, monkeypatch):
+        # Outcome accounting runs after the epoch's events are applied;
+        # a slow outcome() must show up in latency_s (lower bound only,
+        # so scheduler timing cannot flake it).
+        import time
+
+        from repro.serve.engine import IncrementalPlanner
+
+        real = IncrementalPlanner.outcome
+
+        def slow_outcome(self):
+            time.sleep(0.02)
+            return real(self)
+
+        monkeypatch.setattr(IncrementalPlanner, "outcome", slow_outcome)
+        svc = _service()
+        svc.submit(_churn())
+        svc.run()
+        assert len(svc.decisions) > 1
+        assert all(d.latency_s >= 0.02 for d in svc.decisions[1:])
 
 
 class TestVarzAndTop:
@@ -458,6 +476,38 @@ class TestVarzAndTop:
             )
         assert rc == 0
         assert out.getvalue().count("repro serve top") == 2
+
+    def test_epoch_rate_from_summary_delta_between_frames(self, monkeypatch):
+        import io
+        from types import SimpleNamespace
+
+        from repro.serve import top
+
+        frames = iter(
+            [
+                {"service": {"summary": {"epochs": 100}}},
+                {"service": {"summary": {"epochs": 142}}},
+            ]
+        )
+        clock = iter([10.0, 10.5])
+        monkeypatch.setattr(top, "fetch_varz", lambda url: next(frames))
+        monkeypatch.setattr(
+            top,
+            "time",
+            SimpleNamespace(monotonic=lambda: next(clock), sleep=lambda s: None),
+        )
+        out = io.StringIO()
+        rc = run_top(
+            "http://varz.invalid", iterations=2,
+            color=False, clear=False, stream=out,
+        )
+        assert rc == 0
+        rates = [
+            line.split()[-1]
+            for line in out.getvalue().splitlines()
+            if line.startswith("epoch rate")
+        ]
+        assert rates == ["-", "84.00/s"]
 
     def test_run_top_unreachable_exits_1(self):
         import io

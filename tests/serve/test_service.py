@@ -12,6 +12,7 @@ from repro.serve import (
     ServeEvent,
     approx_preference,
     generate_load,
+    summarize_serve_run,
 )
 
 
@@ -224,9 +225,10 @@ class TestCacheInvalidation:
 
 
 class TestCounters:
-    def test_serve_counters_accumulate(self):
+    def test_serve_counters_accumulate(self, tmp_path):
+        path = tmp_path / "serve.jsonl"
         telemetry.reset()
-        telemetry.enable(None)
+        telemetry.enable(path)
         svc = _service()
         svc.start()
         svc.submit(
@@ -236,12 +238,13 @@ class TestCounters:
             ]
         )
         svc.run()
-        counters = telemetry.report()["counters"]
-        assert counters["serve.replans"] == 3
-        assert counters["serve.full_solves"] == 2
-        assert counters["serve.events"] == 2
-        assert counters.get("serve.cache_hits", 0) >= 1
-        assert counters["serve.solved"] >= svc.problem.n_streams
+        telemetry.disable()
+        rep = summarize_serve_run(path)
+        assert rep.epochs == 3
+        assert rep.full_solves == 2
+        assert rep.events == 2
+        assert rep.cache_hits >= 1
+        assert rep.solved >= svc.problem.n_streams
 
     def test_decision_events_logged(self):
         from repro.obs.sinks import MemorySink
